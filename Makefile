@@ -69,17 +69,18 @@ bench:
 	$(GO) run ./cmd/benchdiff -parse BENCH.txt -o BENCH.json
 
 # bench-check is the fast perf-regression gate: it re-runs the Fit and
-# Predict macro-benchmarks plus the DTW-cascade and nearest-reference
-# index micro-benchmarks with short settings and fails (non-zero exit)
-# when any median ns/op, allocs/op, or B/op regresses more than 20%
-# against the committed BENCH.baseline.json (zero-alloc baselines fail on
-# any new allocation; tiny B/op baselines get a 64-byte floor). The fresh
+# Predict macro-benchmarks (including the memoized pipeline predict path,
+# BenchmarkPredictPipeline in internal/core) plus the DTW-cascade and
+# nearest-reference index micro-benchmarks with short settings and fails
+# (non-zero exit) when any median ns/op, allocs/op, or B/op regresses more
+# than 20% against the committed BENCH.baseline.json (zero-alloc baselines
+# fail on any new allocation; tiny B/op baselines get a 64-byte floor). The fresh
 # snapshot is left in BENCH.check.json so CI can archive it. Regenerate
 # the baseline on the same machine class after an intentional perf change:
-#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s ./internal/ml/... ./internal/distance/ ./internal/ann/ > bench.txt
+#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.txt
 #   go run ./cmd/benchdiff -parse bench.txt -o BENCH.baseline.json
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ > bench.check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.check.txt
 	$(GO) run ./cmd/benchdiff -parse bench.check.txt -o BENCH.check.json
 	$(GO) run ./cmd/benchdiff -threshold 20 BENCH.baseline.json BENCH.check.json
 	@rm -f bench.check.txt

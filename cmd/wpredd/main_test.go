@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wpred"
+	"wpred/internal/bench"
 	"wpred/internal/telemetry"
 )
 
@@ -240,5 +241,71 @@ func TestParseWarmKeys(t *testing.T) {
 	}
 	if _, err := parseWarmKeys("a|b"); err == nil {
 		t.Error("two-part triple should fail")
+	}
+}
+
+// TestDriftSeasonFlagDisablesCyclic drives -drift-season through the
+// daemon's flag path: a periodic feedback stream that the default season
+// classifies cyclic must confirm only non-cyclic drift under
+// -drift-season -1, which disables seasonality.
+func TestDriftSeasonFlagDisablesCyclic(t *testing.T) {
+	scen, err := bench.GenerateDemand(bench.DriftCyclic, 300, telemetry.NewSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := func(extra ...string) map[string]int {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		stderr := newLineWatcher(`listening on (\S+)`)
+		args := append([]string{
+			"-addr", "127.0.0.1:0", "-skus", "2,4", "-runs", "1", "-terminals", "2",
+			"-warm", "Variance|L2,1|Regression",
+		}, extra...)
+		exit := make(chan int, 1)
+		go func() { exit <- run(ctx, args, io.Discard, stderr) }()
+		var addr string
+		select {
+		case m := <-stderr.found:
+			addr = m[1]
+		case code := <-exit:
+			t.Fatalf("daemon exited early with %d:\n%s", code, stderr.String())
+		case <-time.After(60 * time.Second):
+			t.Fatalf("daemon never started listening:\n%s", stderr.String())
+		}
+		out := map[string]int{}
+		for i, v := range scen.Series {
+			body := fmt.Sprintf(`{"selection":"Variance","metric":"L2,1","model":"Regression","tick":%d,"observed":%v,"predicted":%v}`,
+				i, v, scen.Level)
+			resp, err := http.Post("http://"+addr+"/v1/observe", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ob struct {
+				Status string `json:"status"`
+				Kind   string `json:"kind"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&ob)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("observe %d: status %d, err %v", i, resp.StatusCode, err)
+			}
+			if ob.Status == "drift" {
+				out[ob.Kind]++
+			}
+		}
+		cancel()
+		select {
+		case <-exit:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("daemon did not exit:\n%s", stderr.String())
+		}
+		return out
+	}
+	if got := kinds(); got["cyclic"] == 0 {
+		t.Fatalf("default season classified no event cyclic: %v", got)
+	}
+	if got := kinds("-drift-season", "-1"); got["cyclic"] != 0 || len(got) == 0 {
+		t.Errorf("-drift-season -1: events by kind = %v, want events and none cyclic", got)
 	}
 }

@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,7 +17,7 @@ import (
 	"wpred/internal/featsel"
 	"wpred/internal/fingerprint"
 	"wpred/internal/obs"
-	"wpred/internal/roofline"
+	"wpred/internal/parallel"
 	"wpred/internal/scalemodel"
 	"wpred/internal/simeval"
 	"wpred/internal/telemetry"
@@ -170,6 +169,13 @@ type Pipeline struct {
 	// lookup (Fit-once/Query-many). Guarded by idxMu; reset on Train.
 	idxMu   sync.Mutex
 	indexes map[string]*refIndex
+
+	// memo caches the scaling stage per (nearest reference, from SKU, to
+	// SKU): the fitted factor and interval, filled lazily and single-flight
+	// by the first Predict that needs them (see stageFor). Guarded by
+	// memoMu; reset on Train, never persisted.
+	memoMu sync.Mutex
+	memo   map[scaleKey]*memoEntry
 }
 
 // refIndex pairs a reference-fitted fingerprint builder with the VP-tree
@@ -273,6 +279,9 @@ func (p *Pipeline) train(refs []*telemetry.Experiment, sp *obs.Span) error {
 	p.idxMu.Lock()
 	p.indexes = nil // reference set changed; indexes rebuild lazily
 	p.idxMu.Unlock()
+	p.memoMu.Lock()
+	p.memo = nil // likewise the scaling stages
+	p.memoMu.Unlock()
 
 	fsp := sp.Child("featsel")
 	defer func() { trainFeatselSeconds.ObserveDuration(fsp.End()) }()
@@ -325,6 +334,8 @@ type Prediction struct {
 // on their SKU), fingerprint them, find the most similar reference
 // workload, fit the scaling model from the target's SKU to toSKU on that
 // reference's data, and apply it to the target's observed throughput.
+// The fitted scaling stage depends only on (nearest reference, from SKU,
+// to SKU), so it is fitted on first use and memoized for later calls.
 //
 // Predict degrades rather than aborts on dirty inputs: unusable target
 // experiments are dropped (see Dropped) as long as at least one survives,
@@ -405,6 +416,13 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 	var lastErr error
 	for _, nearest := range ranked {
 		pred, err := p.scaleVia(nearest, fromSKU, toSKU, observed)
+		var pe *parallel.PanicError
+		if errors.As(err, &pe) {
+			// A panicking fit is a fault, not missing reference data:
+			// fail this prediction rather than answer from another
+			// reference.
+			return nil, err
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -419,118 +437,6 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 		return pred, nil
 	}
 	return nil, fmt.Errorf("%w (tried %d candidates): %v", ErrNoScalingReference, len(ranked), lastErr)
-}
-
-// scaleVia fits the named reference workload's scaling model for the SKU
-// pair and applies it to the observed throughput, filling the prediction
-// fields the scaling stage owns (throughput and interval).
-func (p *Pipeline) scaleVia(nearest string, fromSKU, toSKU telemetry.SKU, observed float64) (*Prediction, error) {
-	// Build the reference's scaling dataset. Pairwise models need the
-	// exact SKU pair; single models can use every profiled SKU and may
-	// extrapolate to target SKUs that were never observed.
-	var refSetting []*telemetry.Experiment
-	for _, e := range p.refs {
-		if e.Workload != nearest {
-			continue
-		}
-		if p.cfg.Context == scalemodel.Single || e.SKU == fromSKU || e.SKU == toSKU {
-			refSetting = append(refSetting, e)
-		}
-	}
-	src := telemetry.NewSource(p.cfg.Seed)
-	rds, err := scalemodel.FromExperiments(refSetting, p.cfg.Subsamples, src)
-	if err != nil {
-		return nil, fmt.Errorf("core: scaling dataset for %s: %w", nearest, err)
-	}
-	fromIdx, err := rds.SKUIndex(fromSKU.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	toIdx := -1
-	if p.cfg.Context == scalemodel.Pairwise {
-		if toIdx, err = rds.SKUIndex(toSKU.CPUs); err != nil {
-			return nil, err
-		}
-	} else if idx, idxErr := rds.SKUIndex(toSKU.CPUs); idxErr == nil {
-		toIdx = idx
-	}
-
-	var predicted float64
-	switch p.cfg.Context {
-	case scalemodel.Single:
-		m, err := scalemodel.FitSingle(p.cfg.Strategy, rds, nil, p.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		// Rescale the reference's absolute prediction by the ratio of
-		// the target's observation to the reference's from-SKU level.
-		refAt := m.Predict(fromSKU.CPUs)
-		refTo := m.Predict(toSKU.CPUs)
-		if refAt <= 0 {
-			return nil, fmt.Errorf("core: single model predicts non-positive throughput at %s", fromSKU)
-		}
-		predicted = observed * refTo / refAt
-	case scalemodel.Pairwise:
-		m, err := scalemodel.FitPair(p.cfg.Strategy, rds, fromIdx, toIdx, nil, p.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		// The pairwise model maps reference from-SKU throughput to
-		// to-SKU throughput; apply its scaling factor at the
-		// reference operating point to the target's observation.
-		refMean := mean(rds.Obs[fromIdx])
-		factor := m.ScalingFactor(refMean)
-		predicted = observed * factor
-	}
-
-	if p.cfg.RooflineClamp {
-		if bound, ok := p.rooflineBound(rds, fromIdx, toSKU.CPUs, observed); ok && predicted > bound {
-			predicted = bound
-		}
-	}
-
-	lo, hi := predicted, predicted
-	if toIdx >= 0 {
-		if flo, fhi, ok := factorInterval(rds, fromIdx, toIdx); ok {
-			lo, hi = observed*flo, observed*fhi
-			if predicted < lo {
-				lo = predicted
-			}
-			if predicted > hi {
-				hi = predicted
-			}
-		}
-	}
-	return &Prediction{PredictedThroughput: predicted, PredictedLo: lo, PredictedHi: hi}, nil
-}
-
-// factorInterval computes an approximate 95% interval on the reference's
-// SKU-to-SKU scaling factor from the dispersion of the matched per-point
-// factors.
-func factorInterval(rds *scalemodel.Dataset, fromIdx, toIdx int) (lo, hi float64, ok bool) {
-	n := rds.NPoints()
-	if n < 3 {
-		return 0, 0, false
-	}
-	factors := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		from := rds.Obs[fromIdx][i]
-		if from <= 0 {
-			continue
-		}
-		factors = append(factors, rds.Obs[toIdx][i]/from)
-	}
-	if len(factors) < 3 {
-		return 0, 0, false
-	}
-	m := mean(factors)
-	variance := 0.0
-	for _, f := range factors {
-		d := f - m
-		variance += d * d
-	}
-	sd := math.Sqrt(variance / float64(len(factors)-1))
-	return m - 1.96*sd, m + 1.96*sd, true
 }
 
 // similarTo fingerprints the target alongside same-SKU references and
@@ -615,16 +521,10 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 			counts[w]++
 		}
 	}
-	names := make([]string, 0, len(sums))
 	for w := range sums {
 		sums[w] /= float64(counts[w])
-		names = append(names, w)
 	}
-	if len(names) == 0 {
-		return nil, nil, errors.New("core: no reference workloads to compare against")
-	}
-	sort.Slice(names, func(a, b int) bool { return sums[names[a]] < sums[names[b]] })
-	return names, sums, nil
+	return rankWorkloads(sums)
 }
 
 // similarToIndexed is the sublinear variant of similarTo (see "Sublinear
@@ -671,21 +571,30 @@ func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, featur
 			counts[w]++
 		}
 	}
-	names := make([]string, 0, len(sums))
 	for w := range sums {
 		sums[w] /= float64(counts[w])
-		names = append(names, w)
 	}
-	if len(names) == 0 {
+	return rankWorkloads(sums)
+}
+
+// rankWorkloads orders reference workloads by ascending mean distance,
+// breaking exact ties by name so the nearest reference never depends on
+// map iteration order.
+func rankWorkloads(means map[string]float64) ([]string, map[string]float64, error) {
+	if len(means) == 0 {
 		return nil, nil, errors.New("core: no reference workloads to compare against")
 	}
+	names := make([]string, 0, len(means))
+	for w := range means {
+		names = append(names, w)
+	}
 	sort.Slice(names, func(a, b int) bool {
-		if sums[names[a]] != sums[names[b]] {
-			return sums[names[a]] < sums[names[b]]
+		if means[names[a]] != means[names[b]] {
+			return means[names[a]] < means[names[b]]
 		}
 		return names[a] < names[b]
 	})
-	return names, sums, nil
+	return names, means, nil
 }
 
 // buildRefIndex fits a fingerprint builder on the references only and
@@ -708,36 +617,4 @@ func (p *Pipeline) buildRefIndex(refs []*telemetry.Experiment, features []teleme
 		return nil, err
 	}
 	return &refIndex{builder: b, ri: ri}, nil
-}
-
-// rooflineBound fits a roofline on the reference workload's observed
-// scaling curve and scales it to the target's operating point: the
-// target's prediction may not exceed the reference's relative saturation
-// ceiling. It reports false when the reference data cannot support a fit.
-func (p *Pipeline) rooflineBound(rds *scalemodel.Dataset, fromIdx, toCPUs int, observed float64) (float64, bool) {
-	cpus := make([]float64, 0, len(rds.SKUs))
-	tput := make([]float64, 0, len(rds.SKUs))
-	for si, sku := range rds.SKUs {
-		cpus = append(cpus, float64(sku.CPUs))
-		tput = append(tput, mean(rds.Obs[si]))
-	}
-	roof, err := roofline.FitCeilings(cpus, tput, 1.05)
-	if err != nil {
-		return 0, false
-	}
-	refAtFrom := mean(rds.Obs[fromIdx])
-	if refAtFrom <= 0 {
-		return 0, false
-	}
-	// Scale the reference ceiling to the target's operating point.
-	ratio := observed / refAtFrom
-	return roof.Bound(float64(toCPUs)) * ratio, true
-}
-
-func mean(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }

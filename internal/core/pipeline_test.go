@@ -18,14 +18,25 @@ func simulateQuick(w *simdb.Workload, sku telemetry.SKU, terms, run int, src *te
 
 func trainedPipeline(t *testing.T) (*Pipeline, []*telemetry.Experiment, telemetry.SKU, telemetry.SKU) {
 	t.Helper()
+	refs, small, large := referenceSuite(t)
+	p := New(Config{Seed: 12, Subsamples: 5})
+	if err := p.Train(refs); err != nil {
+		t.Fatal(err)
+	}
+	return p, refs, small, large
+}
+
+// referenceSuite simulates three reference workloads on a 2- and an
+// 8-CPU SKU, three short runs each.
+func referenceSuite(tb testing.TB) (refs []*telemetry.Experiment, small, large telemetry.SKU) {
+	tb.Helper()
 	src := telemetry.NewSource(12)
-	small := telemetry.SKU{CPUs: 2, MemoryGB: 16}
-	large := telemetry.SKU{CPUs: 8, MemoryGB: 64}
-	var refs []*telemetry.Experiment
+	small = telemetry.SKU{CPUs: 2, MemoryGB: 16}
+	large = telemetry.SKU{CPUs: 8, MemoryGB: 64}
 	for _, name := range []string{bench.TPCCName, bench.TwitterName, bench.TPCHName} {
 		w, err := bench.ByName(name)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		terms := 8
 		if bench.Serial(name) {
@@ -37,11 +48,7 @@ func trainedPipeline(t *testing.T) (*Pipeline, []*telemetry.Experiment, telemetr
 			}
 		}
 	}
-	p := New(Config{Seed: 12, Subsamples: 5})
-	if err := p.Train(refs); err != nil {
-		t.Fatal(err)
-	}
-	return p, refs, small, large
+	return refs, small, large
 }
 
 func TestPipelineTrainSelectsFeatures(t *testing.T) {
@@ -159,25 +166,7 @@ func TestPipelineErrors(t *testing.T) {
 // indexed decision agrees with the exhaustive one (deterministic data, so
 // a pass is stable).
 func TestPipelineIndexedSimilarity(t *testing.T) {
-	src := telemetry.NewSource(12)
-	small := telemetry.SKU{CPUs: 2, MemoryGB: 16}
-	large := telemetry.SKU{CPUs: 8, MemoryGB: 64}
-	var refs []*telemetry.Experiment
-	for _, name := range []string{bench.TPCCName, bench.TwitterName, bench.TPCHName} {
-		w, err := bench.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		terms := 8
-		if bench.Serial(name) {
-			terms = 1
-		}
-		for _, sku := range []telemetry.SKU{small, large} {
-			for r := 0; r < 3; r++ {
-				refs = append(refs, simulateQuick(w, sku, terms, r, src))
-			}
-		}
-	}
+	refs, small, large := referenceSuite(t)
 	indexed := New(Config{Seed: 12, Subsamples: 5, IndexThreshold: 1})
 	if err := indexed.Train(refs); err != nil {
 		t.Fatal(err)

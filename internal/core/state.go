@@ -8,9 +8,12 @@ import (
 
 // PipelineState is the restorable state of a trained Pipeline: everything
 // Train computed that Predict later reads. Together with the Config the
-// pipeline was trained under, it fully determines every future prediction —
-// scaling models are fitted per prediction from the retained references and
-// the deterministic seed, so nothing else needs to be captured. The
+// pipeline was trained under, it fully determines every future prediction.
+// Scaling models are fitted from the retained references and the
+// deterministic seed the first time a Predict needs a (nearest reference,
+// from SKU, to SKU) stage, and memoized in memory only; a restored
+// pipeline starts with an empty memo and refits each stage to the same
+// bits, so nothing else needs to be captured. The
 // snapshot layer (internal/snapshot) serializes this struct to disk and a
 // restarted daemon reconstructs pipelines from it with Restore, serving
 // byte-identical predictions without refitting.

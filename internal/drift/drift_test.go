@@ -279,3 +279,32 @@ func TestTrackerRoutesKeysIndependently(t *testing.T) {
 		t.Fatalf("restored stats keys=%d obs=%d events=%d", k, obs, evs)
 	}
 }
+
+// TestTrackerNegativeSeasonDisablesCyclic pins that the tracker applies
+// the config defaults once: Season -1 must reach its monitors as 0 (no
+// seasonality), not be defaulted a second time back to 24. The same
+// periodic stream that the default season classifies cyclic then yields
+// only non-cyclic events.
+func TestTrackerNegativeSeasonDisablesCyclic(t *testing.T) {
+	const season = 24
+	obs := stream(300, 100, 0.5, 5, func(i int) float64 {
+		return 100 + 40*math.Sin(2*math.Pi*float64(i)/season)
+	})
+	kinds := func(cfg Config) map[Kind]int {
+		tr := NewTracker(cfg)
+		out := map[Kind]int{}
+		for _, o := range obs {
+			if ev, ok := tr.Observe("k", o); ok {
+				out[ev.Kind]++
+			}
+		}
+		return out
+	}
+	if got := kinds(Config{Seed: 5}); got[Cyclic] == 0 {
+		t.Fatalf("default season classified no event cyclic: %v", got)
+	}
+	got := kinds(Config{Seed: 5, Season: -1})
+	if got[Cyclic] != 0 || len(got) == 0 {
+		t.Errorf("Season -1 events by kind = %v, want events and none cyclic", got)
+	}
+}

@@ -19,8 +19,11 @@ type Tracker struct {
 // NewTracker returns a tracker whose monitors share cfg; each key's
 // monitor derives its own forecast stream from cfg.Seed and the key-local
 // observation count, so per-key results are independent of interleaving.
+// The tracker keeps cfg as given: NewMonitor applies the defaults, once,
+// because they are not idempotent (a negative Season disables seasonality
+// by becoming 0, which a second pass would turn into the default 24).
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), monitors: map[string]*Monitor{}}
+	return &Tracker{cfg: cfg, monitors: map[string]*Monitor{}}
 }
 
 // Observe routes one observation to key's monitor (creating it on first

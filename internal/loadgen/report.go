@@ -24,7 +24,9 @@ type LatencyStats struct {
 
 // latencyStats extracts the summary from a histogram (seconds) plus the
 // exactly tracked max (seconds). NaN quantiles (empty histogram) render
-// as zero so the report JSON stays valid.
+// as zero so the report JSON stays valid. Bucket interpolation can place a
+// quantile past the largest sample, so each quantile is clamped to the
+// exact max: no reported percentile exceeds a latency actually observed.
 func latencyStats(h *obs.Histogram, maxSecs float64) LatencyStats {
 	ms := func(v float64) float64 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -32,12 +34,13 @@ func latencyStats(h *obs.Histogram, maxSecs float64) LatencyStats {
 		}
 		return v * 1000
 	}
+	q := func(p float64) float64 { return ms(math.Min(h.Quantile(p), maxSecs)) }
 	st := LatencyStats{
 		Count:   h.Count(),
-		P50Ms:   ms(h.Quantile(0.50)),
-		P90Ms:   ms(h.Quantile(0.90)),
-		P95Ms:   ms(h.Quantile(0.95)),
-		P99Ms:   ms(h.Quantile(0.99)),
+		P50Ms:   q(0.50),
+		P90Ms:   q(0.90),
+		P95Ms:   q(0.95),
+		P99Ms:   q(0.99),
 		MaxMs:   ms(maxSecs),
 		Dropped: h.Dropped(),
 	}

@@ -18,10 +18,16 @@
 // runners fan out over distance pairs); each call bounds only its own
 // workers, which keeps the implementation simple and is harmless for the
 // CPU-bound workloads here.
+//
+// A panic inside fn never crosses a worker goroutine: it is recovered and
+// reported as that index's *PanicError, under the same lowest-index rule
+// as any other error, so one bad task cannot kill the process.
 package parallel
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +77,40 @@ func MaxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// PanicError is a panic recovered at a goroutine boundary: a pool task,
+// a model-registry flight, or a pipeline's scaling-memo fill. It carries
+// the panic value and the stack of the panicking goroutine, so the failure
+// surfaces as an ordinary error on the path that asked for the work.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+// NewPanicError wraps a value returned by recover, capturing the current
+// stack. Call it from the deferred function that recovered, so the stack
+// still shows the panic site.
+func NewPanicError(v any) *PanicError {
+	return &PanicError{Value: v, Stack: debug.Stack()}
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("recovered panic: %v", e.Value) }
+
+// Recover turns a panic in the calling function into a *PanicError stored
+// in *err. Use it as the deferred call itself:
+//
+//	defer parallel.Recover(&err)
+func Recover(err *error) {
+	if v := recover(); v != nil {
+		*err = NewPanicError(v)
+	}
+}
+
+// call runs one task with its panic converted into the task's error.
+func call[T any](fn func(i int) (T, error), i int) (v T, err error) {
+	defer Recover(&err)
+	return fn(i)
+}
+
 // Map invokes fn(i) for every i in [0, n) on up to MaxWorkers goroutines
 // and returns the results ordered by index. The slice is identical to what
 // a serial loop would produce. On error, Map returns the error of the
@@ -78,7 +118,7 @@ func MaxWorkers() int {
 // one may be skipped, and fn may still be invoked for indexes between a
 // failure and earlier pending work, so fn must not rely on never running
 // after a sibling fails. fn must be safe for concurrent invocation on
-// distinct indexes.
+// distinct indexes. A panic in fn(i) becomes index i's *PanicError.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -94,7 +134,7 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 			tasksStarted.Inc()
 			queueWait.Observe(time.Since(t0).Seconds())
 			workersBusy.Add(1)
-			v, err := fn(i)
+			v, err := call(fn, i)
 			workersBusy.Add(-1)
 			tasksCompleted.Inc()
 			if err != nil {
@@ -128,7 +168,7 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 				tasksStarted.Inc()
 				queueWait.Observe(time.Since(t0).Seconds())
 				workersBusy.Add(1)
-				v, err := fn(int(i))
+				v, err := call(fn, int(i))
 				workersBusy.Add(-1)
 				tasksCompleted.Inc()
 				if err != nil {

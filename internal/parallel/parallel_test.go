@@ -143,3 +143,29 @@ func TestStressContention(t *testing.T) {
 		}
 	}
 }
+
+// TestMapRecoversPanics pins the goroutine boundary: a panicking task
+// becomes its index's *PanicError (with the panic site's stack), and the
+// lowest failing index still wins over later panics and plain errors, at
+// every worker count.
+func TestMapRecoversPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers)
+		_, err := Map(64, func(i int) (int, error) {
+			switch i {
+			case 3, 40:
+				panic(fmt.Sprintf("task %d", i))
+			case 20:
+				return 0, errors.New("plain error")
+			}
+			return i, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Value != "task 3" || len(pe.Stack) == 0 {
+			t.Errorf("workers=%d: panic %v with %d-byte stack, want task 3's with a stack", workers, pe.Value, len(pe.Stack))
+		}
+	}
+}

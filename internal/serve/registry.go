@@ -8,6 +8,7 @@ import (
 
 	"wpred/internal/core"
 	"wpred/internal/obs"
+	"wpred/internal/parallel"
 )
 
 // Registry metrics (see "Serving layer" in DESIGN.md). The per-instance
@@ -79,7 +80,9 @@ type regEntry struct {
 // entry; a displaced in-flight fit still completes and serves its waiting
 // callers, it just isn't retained. Failed fits are not cached, so a
 // transient training error does not poison the key forever — but every
-// caller waiting on the failed flight observes the same error.
+// caller waiting on the failed flight observes the same error. A fit or
+// restore that panics fails its flight the same way, with a
+// *parallel.PanicError.
 type Registry struct {
 	train func(Key) (*core.Pipeline, error)
 	// restore, when set (SetRestore), is consulted on a cold key before
@@ -233,24 +236,7 @@ func (r *Registry) Get(key Key) (*core.Pipeline, error) {
 	regEntries.Set(float64(r.lru.Len()))
 	r.mu.Unlock()
 
-	// Snapshot restore first (when enabled): a key another fleet member
-	// already trained — or this process trained before a restart — loads
-	// from disk instead of refitting. Waiters on the flight can't tell
-	// the difference; only the fit/restore accounting does.
-	if r.restore != nil {
-		if p, ok := r.restore(key); ok {
-			r.restores.Add(1)
-			regRestores.Inc()
-			e.p = p
-			close(e.done)
-			return e.p, nil
-		}
-	}
-	r.fits.Add(1)
-	regFits.Inc()
-	t0 := time.Now()
-	e.p, e.err = r.train(key)
-	regFitSeconds.Observe(time.Since(t0).Seconds())
+	e.p, e.err = r.resolve(key)
 	close(e.done)
 	if e.err != nil {
 		r.mu.Lock()
@@ -264,6 +250,36 @@ func (r *Registry) Get(key Key) (*core.Pipeline, error) {
 		r.mu.Unlock()
 	}
 	return e.p, e.err
+}
+
+// resolve produces a cold key's pipeline for its flight. Snapshot restore
+// comes first (when enabled): a key another fleet member already trained —
+// or this process trained before a restart — loads from disk instead of
+// refitting. Waiters on the flight can't tell the difference; only the
+// fit/restore accounting does. A panic in either hook becomes the flight's
+// *parallel.PanicError, so the flight still resolves and its waiters fail
+// instead of blocking forever.
+func (r *Registry) resolve(key Key) (p *core.Pipeline, err error) {
+	defer parallel.Recover(&err)
+	if r.restore != nil {
+		if p, ok := r.restore(key); ok {
+			r.restores.Add(1)
+			regRestores.Inc()
+			return p, nil
+		}
+	}
+	r.fits.Add(1)
+	regFits.Inc()
+	return r.fit(key)
+}
+
+// fit trains key, timing it into the fit-latency histogram. A panicking
+// train hook returns a *parallel.PanicError.
+func (r *Registry) fit(key Key) (p *core.Pipeline, err error) {
+	defer parallel.Recover(&err)
+	t0 := time.Now()
+	defer func() { regFitSeconds.Observe(time.Since(t0).Seconds()) }()
+	return r.train(key)
 }
 
 // RefitFlight is one in-flight background refit. Every invalidation that
@@ -307,9 +323,7 @@ func (r *Registry) Refit(key Key) *RefitFlight {
 		}
 		r.refits.Add(1)
 		regRefits.Inc()
-		t0 := time.Now()
-		p, err := r.train(key)
-		regFitSeconds.Observe(time.Since(t0).Seconds())
+		p, err := r.fit(key)
 
 		r.mu.Lock()
 		delete(r.refitting, key)

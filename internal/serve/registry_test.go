@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wpred/internal/core"
+	"wpred/internal/parallel"
 )
 
 // fakeTrainer fits instantly-recognizable pipelines: it records which key
@@ -141,7 +142,7 @@ func TestRegistryEvictionChurnUnderRace(t *testing.T) {
 				if i%2 == 0 {
 					k = testKey(g % 2)
 				} else {
-					k = testKey((g * 7 ^ i * 13) % keys)
+					k = testKey((g*7 ^ i*13) % keys)
 				}
 				p, err := r.Get(k)
 				if err != nil {
@@ -404,5 +405,36 @@ func TestRegistryRefitDuringRestoreUnderRace(t *testing.T) {
 	}
 	if st.Entries != keys {
 		t.Errorf("entries = %d, want %d", st.Entries, keys)
+	}
+}
+
+// TestRegistryPanickingRefitResolves injects a panic into a background
+// refit: its flight resolves with a *parallel.PanicError, the stale model
+// keeps serving, and a later refit of the key trains again.
+func TestRegistryPanickingRefitResolves(t *testing.T) {
+	var trains atomic.Int32
+	r := NewRegistry(4, func(k Key) (*core.Pipeline, error) {
+		if trains.Add(1) == 2 {
+			panic("injected refit failure")
+		}
+		return core.New(core.Config{}), nil
+	})
+	k := testKey(0)
+	old, err := r.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *parallel.PanicError
+	if err := r.Refit(k).Wait(); !errors.As(err, &pe) {
+		t.Fatalf("panicking refit flight = %v, want a *parallel.PanicError", err)
+	}
+	if p, err := r.Get(k); err != nil || p != old {
+		t.Errorf("Get after the panicking refit = (%p, %v), want the stale model", p, err)
+	}
+	if err := r.Refit(k).Wait(); err != nil {
+		t.Fatalf("refit after the panicking one: %v", err)
+	}
+	if st := r.Stats(); st.Refits != 2 || st.RefitErrors != 1 {
+		t.Errorf("refits = %d, refit errors = %d, want 2 and 1", st.Refits, st.RefitErrors)
 	}
 }

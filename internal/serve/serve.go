@@ -109,6 +109,9 @@ type Server struct {
 	// slots are acquired and before prediction starts. Tests use it to
 	// hold requests in flight deterministically.
 	testHookAdmitted func()
+	// testHookPredict, when set, runs at the start of every prediction
+	// item. Tests use it to inject a panicking item.
+	testHookPredict func(*PredictRequest)
 	// testHookTrain, when set, runs at the start of every pipeline fit
 	// (warmup, cold miss, or refit). Tests use it to hold refits in
 	// flight and to count trains.
@@ -306,8 +309,18 @@ func statusFor(err error) int {
 
 // predictOne resolves one validated request against the registry and runs
 // the prediction, returning the rendered response or an error with its
-// HTTP status.
-func (s *Server) predictOne(req *PredictRequest) (*predictResponse, int, error) {
+// HTTP status. It is the goroutine boundary of one prediction item: a
+// panic anywhere below it answers that item 500 with a
+// *parallel.PanicError, and a batch's other items are still served.
+func (s *Server) predictOne(req *PredictRequest) (resp *predictResponse, code int, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			resp, code, err = nil, http.StatusInternalServerError, parallel.NewPanicError(v)
+		}
+	}()
+	if s.testHookPredict != nil {
+		s.testHookPredict(req)
+	}
 	p, err := s.registry.Get(req.Key)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
@@ -316,8 +329,7 @@ func (s *Server) predictOne(req *PredictRequest) (*predictResponse, int, error) 
 	if err != nil {
 		return nil, statusFor(err), err
 	}
-	resp, err := renderPrediction(req.Key, pred, dropped)
-	if err != nil {
+	if resp, err = renderPrediction(req.Key, pred, dropped); err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	return resp, http.StatusOK, nil
