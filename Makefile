@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify fuzz serve-test chaos-test drift-test experiments bench bench-check slo-check
+.PHONY: build test vet race fmt-check verify fuzz serve-test chaos-test drift-test experiments bench bench-check slo-check
 
 build:
 	$(GO) build ./...
@@ -14,11 +14,20 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
+# fmt-check fails when gofmt would reformat any Go file of the main module:
+# every file of every package `go list ./...` sees, tests included.
+# wpredbench is a module of its own, so it is not listed.
+fmt-check:
+	@files=$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .TestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}' ./...); \
+	unformatted=$$(gofmt -l $$files); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+
 # verify is the tier-1 gate (see ROADMAP.md): every change must pass it.
-# The race step also stress-tests internal/parallel under contention
-# (TestStressContention) and runs the -j determinism tests, so data races
-# in the worker pool and the suite's shared caches are exercised here.
-verify: build vet race
+# It starts with the gofmt check. The race step also stress-tests
+# internal/parallel under contention (TestStressContention) and runs the
+# -j determinism tests, so data races in the worker pool and the suite's
+# shared caches are exercised here.
+verify: fmt-check build vet race
 
 # fuzz runs the telemetry decoder and VP-tree query fuzzers for short
 # bursts beyond their committed seed corpora (the corpora themselves run
@@ -74,13 +83,16 @@ bench:
 # nearest-reference index micro-benchmarks with short settings and fails
 # (non-zero exit) when any median ns/op, allocs/op, or B/op regresses more
 # than 20% against the committed BENCH.baseline.json (zero-alloc baselines
-# fail on any new allocation; tiny B/op baselines get a 64-byte floor). The fresh
-# snapshot is left in BENCH.check.json so CI can archive it. Regenerate
-# the baseline on the same machine class after an intentional perf change:
-#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.txt
+# fail on any new allocation; tiny B/op baselines get a 64-byte floor), and
+# when a baseline benchmark is missing from the run. The check and the
+# baseline recording below both use -cpu 1, so benchmark names carry no -N
+# suffix on any host and match the baseline's. The fresh snapshot is left
+# in BENCH.check.json so CI can archive it. Regenerate the baseline on the
+# same machine class after an intentional perf change:
+#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -cpu 1 ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.txt
 #   go run ./cmd/benchdiff -parse bench.txt -o BENCH.baseline.json
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -cpu 1 -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.check.txt
 	$(GO) run ./cmd/benchdiff -parse bench.check.txt -o BENCH.check.json
 	$(GO) run ./cmd/benchdiff -threshold 20 BENCH.baseline.json BENCH.check.json
 	@rm -f bench.check.txt

@@ -17,11 +17,15 @@
 // behind `make bench-check`. Byte regressions on near-zero baselines
 // (< 64 B/op) instead get an absolute 64-byte floor, since a single pooled
 // buffer showing up as a few dozen bytes is measurement noise, not a leak.
+// With -threshold, a baseline benchmark missing from the new snapshot also
+// fails: a gate that matches nothing (say, names recorded with a different
+// -cpu suffix) must not pass by comparing nothing.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +54,7 @@ func main() {
 	var (
 		parse     = flag.String("parse", "", "parse `go test -bench` text output from this file (- for stdin)")
 		out       = flag.String("o", "BENCH.json", "with -parse: where to write the JSON snapshot")
-		threshold = flag.Float64("threshold", 0, "with two snapshots: exit 1 if any ns/op, allocs/op, or B/op regression exceeds this percent (any alloc increase over a zero-alloc baseline fails; B/op under a 64-byte baseline only fails on a >64-byte increase; 0 = report only)")
+		threshold = flag.Float64("threshold", 0, "with two snapshots: exit 1 if any ns/op, allocs/op, or B/op regression exceeds this percent (any alloc increase over a zero-alloc baseline fails; B/op under a 64-byte baseline only fails on a >64-byte increase), or if any benchmark of the old snapshot is missing from the new one; 0 = report only")
 	)
 	flag.Parse()
 
@@ -182,7 +186,7 @@ func runDiff(oldPath, newPath string, threshold float64) error {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	fmt.Fprintf(w, "%-60s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs")
-	regressed := []string{}
+	regressed, missing := []string{}, []string{}
 	for _, n := range sorted {
 		o, inOld := oldSnap.Benchmarks[n]
 		nw, inNew := newSnap.Benchmarks[n]
@@ -191,6 +195,9 @@ func runDiff(oldPath, newPath string, threshold float64) error {
 			fmt.Fprintf(w, "%-60s %14s %14.1f %9s %9s\n", n, "-", nw.NsPerOp, "new", allocDelta(-1, nw.AllocsPerOp))
 		case !inNew:
 			fmt.Fprintf(w, "%-60s %14.1f %14s %9s %9s\n", n, o.NsPerOp, "-", "gone", "")
+			if threshold > 0 {
+				missing = append(missing, n)
+			}
 		default:
 			delta := 100 * (nw.NsPerOp - o.NsPerOp) / o.NsPerOp
 			fmt.Fprintf(w, "%-60s %14.1f %14.1f %+8.1f%% %9s\n", n, o.NsPerOp, nw.NsPerOp, delta, allocDelta(o.AllocsPerOp, nw.AllocsPerOp))
@@ -207,10 +214,18 @@ func runDiff(oldPath, newPath string, threshold float64) error {
 			}
 		}
 	}
+	var problems []string
 	if len(regressed) > 0 {
+		problems = append(problems, fmt.Sprintf("%d benchmark(s) regressed past %.1f%%: %s",
+			len(regressed), threshold, strings.Join(regressed, ", ")))
+	}
+	if len(missing) > 0 {
+		problems = append(problems, fmt.Sprintf("%d baseline benchmark(s) missing from %s: %s",
+			len(missing), newPath, strings.Join(missing, ", ")))
+	}
+	if len(problems) > 0 {
 		w.Flush()
-		return fmt.Errorf("%d benchmark(s) regressed past %.1f%%: %s",
-			len(regressed), threshold, strings.Join(regressed, ", "))
+		return errors.New(strings.Join(problems, "; "))
 	}
 	return nil
 }

@@ -156,6 +156,49 @@ func TestRunDiffAllocGate(t *testing.T) {
 	}
 }
 
+// TestRunDiffMissingBaselineFails: with a threshold, a baseline entry the
+// run does not report fails the gate instead of passing as "gone" — the
+// failure mode of a run whose names carry a -N suffix the baseline lacks.
+func TestRunDiffMissingBaselineFails(t *testing.T) {
+	dir := t.TempDir()
+	writeSnap := func(name string, benches ...string) string {
+		p := filepath.Join(dir, name)
+		s := Snapshot{Benchmarks: map[string]Result{}}
+		for _, b := range benches {
+			s.Benchmarks[b] = Result{Samples: 3, NsPerOp: 1000, BPerOp: 0, AllocsPerOp: 0}
+		}
+		data, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	baseline := writeSnap("baseline.json", "BenchmarkFitGBM", "BenchmarkFitMLP")
+	suffixed := writeSnap("suffixed.json", "BenchmarkFitGBM-2", "BenchmarkFitMLP-2")
+	partial := writeSnap("partial.json", "BenchmarkFitGBM")
+	extra := writeSnap("extra.json", "BenchmarkFitGBM", "BenchmarkFitMLP", "BenchmarkFitNew")
+
+	err := runDiff(baseline, suffixed, 20)
+	if err == nil {
+		t.Fatal("a run matching no baseline name must fail the gate")
+	}
+	if !strings.Contains(err.Error(), "2 baseline benchmark(s) missing") || !strings.Contains(err.Error(), "BenchmarkFitMLP") {
+		t.Fatalf("error should name the missing entries, got: %v", err)
+	}
+	if err := runDiff(baseline, partial, 20); err == nil || !strings.Contains(err.Error(), "BenchmarkFitMLP") {
+		t.Fatalf("one missing entry must fail the gate, got: %v", err)
+	}
+	if err := runDiff(baseline, suffixed, 0); err != nil {
+		t.Fatalf("threshold 0 is report-only, got: %v", err)
+	}
+	if err := runDiff(baseline, extra, 20); err != nil {
+		t.Fatalf("a benchmark new in the run must not fail the gate, got: %v", err)
+	}
+}
+
 func TestMedian(t *testing.T) {
 	if got := median([]float64{3, 1, 2}); got != 2 {
 		t.Fatalf("odd median = %v", got)

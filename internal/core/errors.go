@@ -28,6 +28,10 @@ var (
 	// workload — nearest or fallback — can supply a scaling dataset for
 	// the requested SKU pair.
 	ErrNoScalingReference = errors.New("core: no reference workload with usable scaling data")
+	// ErrCorrupt is returned by Restore when a state's recorded train-stage
+	// drops differ from those of the references it is restored onto: the
+	// state was not trained on what those references hold.
+	ErrCorrupt = errors.New("core: state disagrees with its references")
 )
 
 // InsufficientReferencesError carries the sanitization accounting of a

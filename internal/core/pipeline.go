@@ -215,14 +215,14 @@ func (p *Pipeline) Dropped() []DroppedExperiment {
 	return append([]DroppedExperiment(nil), p.dropped...)
 }
 
-// sanitize runs the corruption pass over a batch, recording rejections
-// under the given stage into dst, and returns the usable sanitized
-// experiments. The collector is caller-owned so concurrent Predict calls
-// never append to shared pipeline state.
-func (p *Pipeline) sanitize(exps []*telemetry.Experiment, stage string, dst *[]DroppedExperiment) []*telemetry.Experiment {
+// sanitize runs the corruption pass over a batch under policy, recording
+// rejections under the given stage into dst, and returns the usable
+// sanitized experiments. The collector is caller-owned so concurrent
+// Predict calls never append to shared pipeline state.
+func sanitize(exps []*telemetry.Experiment, policy telemetry.SanitizePolicy, stage string, dst *[]DroppedExperiment) []*telemetry.Experiment {
 	kept := make([]*telemetry.Experiment, 0, len(exps))
 	for _, e := range exps {
-		s, rep := telemetry.Sanitize(e, p.cfg.Sanitize)
+		s, rep := telemetry.Sanitize(e, policy)
 		if !rep.Usable() {
 			*dst = append(*dst, DroppedExperiment{
 				ID: rep.ID, Workload: e.Workload, Stage: stage, Report: rep,
@@ -266,7 +266,7 @@ func (p *Pipeline) train(refs []*telemetry.Experiment, sp *obs.Span) error {
 	}
 	p.dropped = nil
 	ssp := sp.Child("sanitize")
-	kept := p.sanitize(refs, "train", &p.dropped)
+	kept := sanitize(refs, p.cfg.Sanitize, "train", &p.dropped)
 	ssp.SetAttr("dropped", strconv.Itoa(len(p.dropped)))
 	trainSanitizeSeconds.ObserveDuration(ssp.End())
 	if len(kept) < p.cfg.MinValidRefs {
@@ -386,7 +386,7 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 		return nil, ErrNoTargets
 	}
 	ssp := sp.Child("sanitize")
-	usable := p.sanitize(target, "predict", dropped)
+	usable := sanitize(target, p.cfg.Sanitize, "predict", dropped)
 	predictSanitizeSeconds.ObserveDuration(ssp.End())
 	if len(usable) == 0 {
 		return nil, fmt.Errorf("%w: sanitization rejected all %d", ErrNoUsableTargets, len(target))

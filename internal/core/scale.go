@@ -152,6 +152,9 @@ func (p *Pipeline) memoGet(key scaleKey, claim bool) (e *memoEntry, fill bool) {
 	return e, true
 }
 
+// scaleFillPanics counts the panics recovered in memo fills.
+var scaleFillPanics = parallel.NewPanicSite("scale_memo_fill")
+
 // testHookScaleFill, when set, runs at the start of every memo fill.
 // Tests use it to inject a panicking fit.
 var testHookScaleFill func()
@@ -164,7 +167,7 @@ func (p *Pipeline) fill(key scaleKey, e *memoEntry, rds *scalemodel.Dataset, fro
 	defer close(e.done)
 	defer func() {
 		if v := recover(); v != nil {
-			e.st = scaleStage{err: parallel.NewPanicError(v)}
+			e.st = scaleStage{err: scaleFillPanics.Error(v)}
 			p.memoMu.Lock()
 			if p.memo[key] == e {
 				delete(p.memo, key)

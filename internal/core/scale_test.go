@@ -77,16 +77,17 @@ func samePrediction(a, b *Prediction) bool {
 // exactly once, every other call is a hit, and every answer matches a
 // fresh pipeline (empty memo, so a fit per call) bit for bit.
 func TestScaleMemoConcurrentFillsOnce(t *testing.T) {
-	p, _, small, large := trainedPipeline(t)
+	p, refs, small, large := trainedPipeline(t)
 	inputs := memoInputs(t, small, large)
 	st, err := p.State()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sanitized := SanitizeReferences(refs, p.cfg.Sanitize)
 	want := make([]*Prediction, len(inputs))
 	triples := map[scaleKey]bool{}
 	for i, in := range inputs {
-		fresh, err := Restore(p.cfg, st)
+		fresh, err := Restore(p.cfg, sanitized, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +184,10 @@ func TestScaleMemoBoundedBySuite(t *testing.T) {
 // *parallel.PanicError, the entry is dropped, the next call fits again and
 // answers like a fresh pipeline, and no goroutine is left behind.
 func TestScaleMemoPanickingFillReleasesWaiters(t *testing.T) {
-	p, _, small, large := trainedPipeline(t)
+	p, refs, small, large := trainedPipeline(t)
 	in := memoInputs(t, small, large)[0]
 	st, _ := p.State()
-	fresh, _ := Restore(p.cfg, st)
+	fresh, _ := Restore(p.cfg, SanitizeReferences(refs, p.cfg.Sanitize), st)
 	want, _, err := fresh.PredictWithReport(in.target, in.to)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestScaleMemoPanickingFillReleasesWaiters(t *testing.T) {
 	}
 	defer func() { testHookScaleFill = nil }()
 
-	hits0 := scaleMemoHits.Value()
+	hits0, panics0 := scaleMemoHits.Value(), scaleFillPanics.Recovered()
 	errs := make(chan error, waiters+1)
 	var wg sync.WaitGroup
 	call := func() {
@@ -234,6 +235,9 @@ func TestScaleMemoPanickingFillReleasesWaiters(t *testing.T) {
 	}
 	if n := memoLen(p); n != 0 {
 		t.Fatalf("memo holds %d entries after a panicking fill, want 0", n)
+	}
+	if got := scaleFillPanics.Recovered() - panics0; got != 1 {
+		t.Errorf("scale_memo_fill counted %d recovered panics, want 1", got)
 	}
 
 	testHookScaleFill = nil

@@ -30,3 +30,31 @@ func BenchmarkFitMLP(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitMLPScaling measures one fit of the shape a pairwise NNet
+// scaling model trains: a single input (the observed throughput on the
+// source SKU), 30 rows, the default six 50-unit layers, and the default
+// 200 epochs on raw scales. ReLU leaves many units dead on this data, so
+// the inline path's zero skipping sets its cost.
+func BenchmarkFitMLPScaling(b *testing.B) {
+	const n = 30
+	rng := rand.New(rand.NewPCG(5, 6))
+	x := mat.New(n, 1)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		v := 300 + rng.Float64()*80
+		x.Set(i, 0, v)
+		y[i] = 1.4*v + 5*rng.NormFloat64()
+	}
+	m := &MLP{Seed: 42}
+	if err := m.Fit(x, y); err != nil { // warm the workspace
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"wpred/internal/mat"
 	"wpred/internal/ml"
@@ -140,6 +141,9 @@ func (m *MLP) Fit(X *mat.Dense, y []float64) error {
 			}
 		}
 	}
+	if testHookWeightsInit != nil {
+		testHookWeightsInit(m.weights)
+	}
 
 	// Adam state (borrowed zeroed from the workspace, as Adam starts from
 	// zero moments each fit).
@@ -180,7 +184,19 @@ func (m *MLP) Fit(X *mat.Dense, y []float64) error {
 	for l := 0; l <= nLayers; l++ {
 		deltas[l] = ws.GetVector(sizes[l])
 	}
+	// The sparse inline path's index lists: nz[l] holds the positions of
+	// the nonzero inputs to layer l, and live the nonzero delta rows of one
+	// layer at a time.
+	nz := make([][]int32, nLayers)
+	for l := 0; l < nLayers; l++ {
+		nz[l] = ws.GetInt32(sizes[l])
+	}
+	live := ws.GetInt32(slices.Max(sizes))
 	defer func() {
+		ws.PutInt32(live)
+		for l := nLayers - 1; l >= 0; l-- {
+			ws.PutInt32(nz[l])
+		}
 		for l := nLayers; l >= 0; l-- {
 			ws.PutVector(deltas[l])
 		}
@@ -259,9 +275,14 @@ func (m *MLP) Fit(X *mat.Dense, y []float64) error {
 			adamStep(m, mw, vw, mb, vb, gw, gb, lr, step, nLayers)
 			continue
 		}
-		// Forward + backward, full batch.
+		// Forward + backward, full batch: the sparse pass when it is exact
+		// (see sparseSample), else the dense one.
+		finite := allFinite(m.weights)
 		for i := 0; i < r; i++ {
 			acts[0] = xs.RawRow(i)
+			if finite && m.sparseSample(acts, pre, deltas, nz, live, gw, gb, ys[i], r) {
+				continue
+			}
 			a := acts[0]
 			for l := 0; l < nLayers; l++ {
 				z := pre[l]
@@ -331,6 +352,192 @@ func (m *MLP) Fit(X *mat.Dense, y []float64) error {
 	}
 	m.fitted = true
 	return nil
+}
+
+// testHookWeightsInit, when set, runs on the freshly initialized weights
+// of every Fit. Tests use it to inject non-finite weights.
+var testHookWeightsInit func(weights []*mat.Dense)
+
+// allFinite reports whether every weight is finite.
+func allFinite(weights []*mat.Dense) bool {
+	for _, w := range weights {
+		for _, v := range w.Data() {
+			if !finite(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// finite reports whether v is neither ±Inf nor NaN.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
+
+// sparseSample runs one sample's forward and backward passes like the dense
+// inline loop in Fit, but skips work whose result is exactly zero: inputs
+// that are zero in the forward sums, delta rows that are zero, and units
+// whose pre-activation is ≤ 0 (their activation is zero, and the ReLU mask
+// zeroes their delta anyway). It takes four output units (forward) or
+// four delta rows (backward) at a time, adding to each sum in the dense
+// loop's order. It leaves the gradients bit-identical to the dense loop's.
+//
+// Why that is exact: every skipped term is a product with a zero factor,
+// so while both factors are finite it is a signed zero. Adding ±0 leaves
+// any accumulator unchanged except −0 (−0 + +0 = +0), and no accumulator
+// here can be −0. Gradient sums and deltas start at +0, forward sums start
+// at a bias, and biases start at +0. Under round-to-nearest, x + y is −0
+// only if x and y both are, and Adam's b − u is −0 only if b is; so by
+// induction none of them ever holds −0. A NaN accumulator stays NaN
+// whether or not ±0 is added. The finite-operand premise is checked: Fit
+// calls this only when every weight is finite (checked once per epoch),
+// and it checks the sample's inputs, pre-activations, and deltas before
+// it touches gw or gb. When any is not finite it returns false having
+// written only the per-sample buffers (acts, pre, deltas, nz), and Fit
+// reruns the sample with the dense loop.
+func (m *MLP) sparseSample(acts, pre, deltas [][]float64, nz [][]int32, live []int32, gw []*mat.Dense, gb [][]float64, y float64, r int) bool {
+	nLayers := len(m.weights)
+	a := acts[0]
+	idx := nz[0][:0]
+	for j, v := range a {
+		if !finite(v) {
+			return false
+		}
+		if v != 0 {
+			idx = append(idx, int32(j))
+		}
+	}
+	nz[0] = idx
+
+	// Forward: pre-activations over the nonzero inputs only.
+	for l := 0; l < nLayers; l++ {
+		w, b, z, idx := m.weights[l], m.biases[l], pre[l], nz[l]
+		k := 0
+		for ; k+4 <= len(z); k += 4 {
+			r0, r1, r2, r3 := w.RawRow(k), w.RawRow(k+1), w.RawRow(k+2), w.RawRow(k+3)
+			s0, s1, s2, s3 := b[k], b[k+1], b[k+2], b[k+3]
+			for _, j := range idx {
+				av := a[j]
+				s0 += r0[j] * av
+				s1 += r1[j] * av
+				s2 += r2[j] * av
+				s3 += r3[j] * av
+			}
+			z[k], z[k+1], z[k+2], z[k+3] = s0, s1, s2, s3
+		}
+		for ; k < len(z); k++ {
+			row, s := w.RawRow(k), b[k]
+			for _, j := range idx {
+				s += row[j] * a[j]
+			}
+			z[k] = s
+		}
+		out := acts[l+1]
+		if l == nLayers-1 {
+			copy(out, z) // linear output; a non-finite one fails the delta check
+			break
+		}
+		next := nz[l+1][:0]
+		for k, v := range z {
+			if !finite(v) {
+				return false
+			}
+			if v > 0 {
+				out[k] = v
+				next = append(next, int32(k))
+			} else {
+				out[k] = 0
+			}
+		}
+		nz[l+1] = next
+		a = out
+	}
+
+	// Backward, first the deltas: layer l's delta reaches only the units
+	// of layer l-1 with a positive pre-activation (nz[l]); the rest stay
+	// +0, which is what the dense loop's mask writes.
+	delta := deltas[nLayers][:1]
+	delta[0] = 2 * (acts[nLayers][0] - y) / float64(r)
+	if !finite(delta[0]) {
+		return false
+	}
+	for l := nLayers - 1; l >= 1; l-- {
+		prevDelta := deltas[l]
+		for j := range prevDelta {
+			prevDelta[j] = 0
+		}
+		w, idx, rows := m.weights[l], nz[l], nonzero(live, delta)
+		q := 0
+		for ; q+4 <= len(rows); q += 4 {
+			o0, o1, o2, o3 := rows[q], rows[q+1], rows[q+2], rows[q+3]
+			d0, d1, d2, d3 := delta[o0], delta[o1], delta[o2], delta[o3]
+			r0, r1, r2, r3 := w.RawRow(int(o0)), w.RawRow(int(o1)), w.RawRow(int(o2)), w.RawRow(int(o3))
+			for _, j := range idx {
+				p := prevDelta[j]
+				p += d0 * r0[j]
+				p += d1 * r1[j]
+				p += d2 * r2[j]
+				p += d3 * r3[j]
+				prevDelta[j] = p
+			}
+		}
+		for ; q < len(rows); q++ {
+			d, row := delta[rows[q]], w.RawRow(int(rows[q]))
+			for _, j := range idx {
+				prevDelta[j] += d * row[j]
+			}
+		}
+		for _, j := range idx {
+			if !finite(prevDelta[j]) {
+				return false
+			}
+		}
+		delta = prevDelta
+	}
+
+	// Then the gradients: every accumulator takes one term per sample, so
+	// visiting the layers after all deltas exist changes no sum.
+	for l := nLayers - 1; l >= 0; l-- {
+		aPrev, idx, g, b := acts[l], nz[l], gw[l], gb[l]
+		delta := deltas[l+1]
+		rows := nonzero(live, delta)
+		q := 0
+		for ; q+4 <= len(rows); q += 4 {
+			o0, o1, o2, o3 := rows[q], rows[q+1], rows[q+2], rows[q+3]
+			d0, d1, d2, d3 := delta[o0], delta[o1], delta[o2], delta[o3]
+			g0, g1, g2, g3 := g.RawRow(int(o0)), g.RawRow(int(o1)), g.RawRow(int(o2)), g.RawRow(int(o3))
+			for _, j := range idx {
+				av := aPrev[j]
+				g0[j] += d0 * av
+				g1[j] += d1 * av
+				g2[j] += d2 * av
+				g3[j] += d3 * av
+			}
+			b[o0] += d0
+			b[o1] += d1
+			b[o2] += d2
+			b[o3] += d3
+		}
+		for ; q < len(rows); q++ {
+			o := rows[q]
+			d, row := delta[o], g.RawRow(int(o))
+			for _, j := range idx {
+				row[j] += d * aPrev[j]
+			}
+			b[o] += d
+		}
+	}
+	return true
+}
+
+// nonzero fills buf with the positions of v's nonzero entries, ascending.
+func nonzero(buf []int32, v []float64) []int32 {
+	buf = buf[:0]
+	for i, x := range v {
+		if x != 0 {
+			buf = append(buf, int32(i))
+		}
+	}
+	return buf
 }
 
 const adamBeta1, adamBeta2, adamEps = 0.9, 0.999, 1e-8

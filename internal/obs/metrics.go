@@ -70,7 +70,7 @@ func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into a fixed, ascending bucket layout
-// chosen at registration (Prometheus cumulative-``le`` semantics: bucket i
+// chosen at registration (Prometheus cumulative "le" semantics: bucket i
 // counts observations <= bounds[i], plus an implicit +Inf bucket). All
 // methods are safe for concurrent use.
 type Histogram struct {

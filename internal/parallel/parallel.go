@@ -77,37 +77,58 @@ func MaxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PanicError is a panic recovered at a goroutine boundary: a pool task,
-// a model-registry flight, or a pipeline's scaling-memo fill. It carries
-// the panic value and the stack of the panicking goroutine, so the failure
-// surfaces as an ordinary error on the path that asked for the work.
+// PanicError is a panic recovered at a goroutine boundary (a PanicSite):
+// a pool task, a model-registry flight, a pipeline's scaling-memo fill, or
+// a served prediction item. It carries the panic value and the stack of
+// the panicking goroutine, so the failure surfaces as an ordinary error on
+// the path that asked for the work.
 type PanicError struct {
 	Value any
 	Stack []byte
 }
 
-// NewPanicError wraps a value returned by recover, capturing the current
-// stack. Call it from the deferred function that recovered, so the stack
-// still shows the panic site.
-func NewPanicError(v any) *PanicError {
+func (e *PanicError) Error() string { return fmt.Sprintf("recovered panic: %v", e.Value) }
+
+// PanicSite is one goroutine boundary that recovers panics. Every panic it
+// recovers counts in wpred_panics_recovered_total{site}, so a fault that
+// ends as an ordinary error on one request still shows on /metrics.
+type PanicSite struct{ recovered *obs.Counter }
+
+// NewPanicSite returns the boundary named site ("pool",
+// "registry_flight", "scale_memo_fill", "served_item").
+func NewPanicSite(site string) PanicSite {
+	return PanicSite{obs.GetCounter("wpred_panics_recovered_total",
+		"Panics recovered at a goroutine boundary, by site.", obs.Labels{"site": site})}
+}
+
+// Error counts one value returned by recover and wraps it as a
+// *PanicError with the current stack. Call it from the deferred function
+// that recovered, so the stack still shows the panic site.
+func (s PanicSite) Error(v any) *PanicError {
+	s.recovered.Inc()
 	return &PanicError{Value: v, Stack: debug.Stack()}
 }
 
-func (e *PanicError) Error() string { return fmt.Sprintf("recovered panic: %v", e.Value) }
-
-// Recover turns a panic in the calling function into a *PanicError stored
-// in *err. Use it as the deferred call itself:
+// Recover turns a panic in the calling function into a counted
+// *PanicError stored in *err. Use it as the deferred call itself:
 //
-//	defer parallel.Recover(&err)
-func Recover(err *error) {
+//	defer site.Recover(&err)
+func (s PanicSite) Recover(err *error) {
 	if v := recover(); v != nil {
-		*err = NewPanicError(v)
+		*err = s.Error(v)
 	}
 }
 
+// Recovered reports how many panics the site has recovered in this
+// process.
+func (s PanicSite) Recovered() uint64 { return s.recovered.Value() }
+
+// poolPanics counts the panics recovered in pool tasks.
+var poolPanics = NewPanicSite("pool")
+
 // call runs one task with its panic converted into the task's error.
 func call[T any](fn func(i int) (T, error), i int) (v T, err error) {
-	defer Recover(&err)
+	defer poolPanics.Recover(&err)
 	return fn(i)
 }
 

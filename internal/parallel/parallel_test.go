@@ -147,7 +147,8 @@ func TestStressContention(t *testing.T) {
 // TestMapRecoversPanics pins the goroutine boundary: a panicking task
 // becomes its index's *PanicError (with the panic site's stack), and the
 // lowest failing index still wins over later panics and plain errors, at
-// every worker count.
+// every worker count. One panicking task moves the pool's
+// wpred_panics_recovered_total series by exactly one.
 func TestMapRecoversPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		withWorkers(t, workers)
@@ -166,6 +167,19 @@ func TestMapRecoversPanics(t *testing.T) {
 		}
 		if pe.Value != "task 3" || len(pe.Stack) == 0 {
 			t.Errorf("workers=%d: panic %v with %d-byte stack, want task 3's with a stack", workers, pe.Value, len(pe.Stack))
+		}
+
+		before := poolPanics.Recovered()
+		if _, err := Map(8, func(i int) (int, error) {
+			if i == 5 {
+				panic("task 5")
+			}
+			return i, nil
+		}); !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if got := poolPanics.Recovered() - before; got != 1 {
+			t.Errorf("workers=%d: pool counted %d recovered panics, want 1", workers, got)
 		}
 	}
 }

@@ -219,8 +219,20 @@ func TestChaosKillAndWarmRestartUnderLoad(t *testing.T) {
 	restarted := fleet[victimIdx]
 
 	// Load continues against the healed fleet long enough for the router
-	// to re-admit the restarted backend (cooldown + probe interval).
+	// to re-admit the restarted backend (cooldown + probe interval), and
+	// until at least 50 requests have completed: the kill and restart take
+	// as long as the drain's snapshot writes and the restore, so the window
+	// alone does not fix how much load runs. A generator that cannot
+	// complete 50 requests in 30 s has stalled.
 	time.Sleep(700 * time.Millisecond)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		n := total
+		mu.Unlock()
+		if n >= 50 {
+			break
+		}
+	}
 	close(stop)
 	wg.Wait()
 

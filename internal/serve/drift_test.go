@@ -289,8 +289,8 @@ func TestDriftE2ERefitLoopDeterministic(t *testing.T) {
 	// Same seed, same loop: every captured response is byte-identical.
 	run2 := runDriftScenario(t)
 	for _, c := range []struct {
-		name   string
-		a, b   []byte
+		name string
+		a, b []byte
 	}{
 		{"pre/A", run1.preA, run2.preA},
 		{"pre/B", run1.preB, run2.preB},

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wpred/internal/parallel"
 )
 
 // serveLocal runs one request through the handler in process (no
@@ -56,6 +58,8 @@ func TestPanickingBatchItemFailsOnlyThatItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := parallel.NewPanicSite("pool")
+	items0, pool0 := itemPanics.Recovered(), pool.Recovered()
 	code, body := serveLocal(s, "/v1/predict/batch", batch)
 	if code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", code, body)
@@ -68,6 +72,12 @@ func TestPanickingBatchItemFailsOnlyThatItem(t *testing.T) {
 	}
 	if r := resp.Results[1]; r.Prediction != nil || !strings.Contains(r.Error, "injected item failure") {
 		t.Errorf("panicking item = %+v, want its recovered panic as the error", r)
+	}
+	if got := itemPanics.Recovered() - items0; got != 1 {
+		t.Errorf("served_item counted %d recovered panics, want 1", got)
+	}
+	if got := pool.Recovered() - pool0; got != 0 {
+		t.Errorf("the item's panic also reached the pool boundary (%d)", got)
 	}
 	_, single := serveLocal(s, "/v1/predict", good)
 	for _, i := range []int{0, 2} {
@@ -107,6 +117,7 @@ func TestPanickingColdFitFailsItsFlight(t *testing.T) {
 	}
 
 	body := predictBody(t, 4)
+	flights0 := flightPanics.Recovered()
 	codes := make(chan int, 2)
 	var wg sync.WaitGroup
 	send := func() {
@@ -135,6 +146,9 @@ func TestPanickingColdFitFailsItsFlight(t *testing.T) {
 	}
 	if st := s.RegistryStats(); st.Entries != 0 {
 		t.Errorf("registry keeps %d entries after the failed flight, want 0", st.Entries)
+	}
+	if got := flightPanics.Recovered() - flights0; got != 1 {
+		t.Errorf("registry_flight counted %d recovered panics, want 1", got)
 	}
 
 	if code, resp := serveLocal(s, "/v1/predict", body); code != http.StatusOK {

@@ -34,6 +34,9 @@ var (
 		"Background refits triggered by drift invalidation (one per coalesced invalidation burst).", nil)
 	regRefitErrs = obs.GetCounter("wpred_serve_registry_refit_errors_total",
 		"Background refits that failed; the previous model keeps serving.", nil)
+	// flightPanics counts the panics recovered in registry flights (cold
+	// fits, restores and drift refits).
+	flightPanics = parallel.NewPanicSite("registry_flight")
 )
 
 // Key identifies one trained pipeline in the model registry: the
@@ -260,7 +263,7 @@ func (r *Registry) Get(key Key) (*core.Pipeline, error) {
 // *parallel.PanicError, so the flight still resolves and its waiters fail
 // instead of blocking forever.
 func (r *Registry) resolve(key Key) (p *core.Pipeline, err error) {
-	defer parallel.Recover(&err)
+	defer flightPanics.Recover(&err)
 	if r.restore != nil {
 		if p, ok := r.restore(key); ok {
 			r.restores.Add(1)
@@ -276,7 +279,7 @@ func (r *Registry) resolve(key Key) (p *core.Pipeline, err error) {
 // fit trains key, timing it into the fit-latency histogram. A panicking
 // train hook returns a *parallel.PanicError.
 func (r *Registry) fit(key Key) (p *core.Pipeline, err error) {
-	defer parallel.Recover(&err)
+	defer flightPanics.Recover(&err)
 	t0 := time.Now()
 	defer func() { regFitSeconds.Observe(time.Since(t0).Seconds()) }()
 	return r.train(key)

@@ -425,8 +425,12 @@ func TestRegistryPanickingRefitResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pe *parallel.PanicError
+	before := flightPanics.Recovered()
 	if err := r.Refit(k).Wait(); !errors.As(err, &pe) {
 		t.Fatalf("panicking refit flight = %v, want a *parallel.PanicError", err)
+	}
+	if got := flightPanics.Recovered() - before; got != 1 {
+		t.Errorf("registry_flight counted %d recovered panics, want 1", got)
 	}
 	if p, err := r.Get(k); err != nil || p != old {
 		t.Errorf("Get after the panicking refit = (%p, %v), want the stale model", p, err)

@@ -22,16 +22,16 @@ func FuzzDecodePredictRequest(f *testing.F) {
 	f.Add("")
 	f.Add("null")
 	f.Add("{}")
-	f.Add(`{"to_sku":{"cpus":4}}`)                                      // no targets
-	f.Add(`{"to_sku":{"cpus":0},"target":[{}]}`)                        // zero CPUs
-	f.Add(`{"to_sku":{"cpus":1000000},"target":[{}]}`)                  // absurd SKU
-	f.Add(`{"to_sku":{"cpus":4,"memory_gb":-1},"target":[{}]}`)         // negative memory
-	f.Add(`{"to_sku":{"cpus":4},"target":[{"throughput":1e999}]}`)      // ±Inf literal
-	f.Add(`{"to_sku":{"cpus":4},"target":[{"throughput":"NaN"}]}`)      // NaN as string
-	f.Add(`{"selection":"Oracle","to_sku":{"cpus":4},"target":[{}]}`)   // unknown selection
-	f.Add(`{"metric":"L9,9","to_sku":{"cpus":4},"target":[{}]}`)        // unknown metric
-	f.Add(`{"model":"Magic","to_sku":{"cpus":4},"target":[{}]}`)        // unknown model
-	f.Add(`{"bogus":true,"to_sku":{"cpus":4},"target":[{}]}`)           // unknown field
+	f.Add(`{"to_sku":{"cpus":4}}`)                                                // no targets
+	f.Add(`{"to_sku":{"cpus":0},"target":[{}]}`)                                  // zero CPUs
+	f.Add(`{"to_sku":{"cpus":1000000},"target":[{}]}`)                            // absurd SKU
+	f.Add(`{"to_sku":{"cpus":4,"memory_gb":-1},"target":[{}]}`)                   // negative memory
+	f.Add(`{"to_sku":{"cpus":4},"target":[{"throughput":1e999}]}`)                // ±Inf literal
+	f.Add(`{"to_sku":{"cpus":4},"target":[{"throughput":"NaN"}]}`)                // NaN as string
+	f.Add(`{"selection":"Oracle","to_sku":{"cpus":4},"target":[{}]}`)             // unknown selection
+	f.Add(`{"metric":"L9,9","to_sku":{"cpus":4},"target":[{}]}`)                  // unknown metric
+	f.Add(`{"model":"Magic","to_sku":{"cpus":4},"target":[{}]}`)                  // unknown model
+	f.Add(`{"bogus":true,"to_sku":{"cpus":4},"target":[{}]}`)                     // unknown field
 	f.Add(`{"to_sku":{"cpus":4},"target":[` + strings.Repeat("{},", 70) + `{}]}`) // too many targets
 	f.Add(`{"to_sku":{"cpus":4},"target":[{"resources":{"bogus":[1]}}]}`)         // unknown feature
 	f.Add(strings.Repeat(`[`, 200))

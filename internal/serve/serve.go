@@ -307,6 +307,9 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// itemPanics counts the panics recovered in prediction items.
+var itemPanics = parallel.NewPanicSite("served_item")
+
 // predictOne resolves one validated request against the registry and runs
 // the prediction, returning the rendered response or an error with its
 // HTTP status. It is the goroutine boundary of one prediction item: a
@@ -315,7 +318,7 @@ func statusFor(err error) int {
 func (s *Server) predictOne(req *PredictRequest) (resp *predictResponse, code int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			resp, code, err = nil, http.StatusInternalServerError, parallel.NewPanicError(v)
+			resp, code, err = nil, http.StatusInternalServerError, itemPanics.Error(v)
 		}
 	}()
 	if s.testHookPredict != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -25,19 +26,19 @@ var (
 )
 
 // snapshots is the server's durability state: the on-disk store, the
-// reference-suite fingerprint restores are validated against, and the
-// counters the health payloads expose.
+// reference suite restores are validated against and restored onto, and
+// the counters the health payloads expose.
 type snapshots struct {
 	store *snapshot.Store
 
-	// hashMu guards the reference-suite fingerprint, which SetRefs swaps
-	// at runtime: snapshots trained against a superseded suite must fail
-	// the compatibility check from the moment the swap happens. hashErr
-	// records a failure to fingerprint the suite; saves and restores are
-	// disabled (never silently mismatched) while set.
-	hashMu   sync.RWMutex
-	refsHash string
-	hashErr  error
+	// suiteMu guards suite, which SetRefs swaps at runtime: snapshots
+	// trained against a superseded suite must fail the compatibility check
+	// from the moment the swap happens.
+	suiteMu sync.RWMutex
+	suite   *refSuite
+	// sanitizes counts the suites sanitized for restores, one per suite
+	// hash.
+	sanitizes atomic.Uint64
 
 	restorePending atomic.Bool
 	restored       atomic.Uint64
@@ -47,20 +48,54 @@ type snapshots struct {
 	lastWriteUnix  atomic.Int64
 }
 
-// setRefs re-fingerprints the reference suite after a SetRefs swap.
+// refSuite is one reference suite as snapshots see it: its fingerprint
+// and, sanitized on the first restore that needs them, the references
+// every pipeline restored against this suite shares. err records a failure
+// to fingerprint the suite; saves and restores are disabled (never
+// silently mismatched) while set.
+type refSuite struct {
+	refs []*telemetry.Experiment
+	hash string
+	err  error
+
+	once      sync.Once
+	sanitized *core.References
+}
+
+// setRefs re-fingerprints the reference suite after a SetRefs swap. A suite
+// with the same fingerprint keeps the references already sanitized for it.
 func (sn *snapshots) setRefs(refs []*telemetry.Experiment) {
 	h, err := snapshot.SuiteHash(refs)
-	sn.hashMu.Lock()
-	sn.refsHash, sn.hashErr = h, err
-	sn.hashMu.Unlock()
+	sn.suiteMu.Lock()
+	defer sn.suiteMu.Unlock()
+	if cur := sn.suite; cur != nil && cur.err == nil && err == nil && cur.hash == h {
+		return
+	}
+	sn.suite = &refSuite{refs: refs, hash: h, err: err}
+}
+
+// current returns the reference suite restores are checked against.
+func (sn *snapshots) current() *refSuite {
+	sn.suiteMu.RLock()
+	defer sn.suiteMu.RUnlock()
+	return sn.suite
 }
 
 // fingerprint returns the current reference-suite hash (or the error that
 // disabled durability).
 func (sn *snapshots) fingerprint() (string, error) {
-	sn.hashMu.RLock()
-	defer sn.hashMu.RUnlock()
-	return sn.refsHash, sn.hashErr
+	rs := sn.current()
+	return rs.hash, rs.err
+}
+
+// references returns the suite sanitized under policy, sanitizing it on
+// the first call.
+func (sn *snapshots) references(rs *refSuite, policy telemetry.SanitizePolicy) *core.References {
+	rs.once.Do(func() {
+		rs.sanitized = core.SanitizeReferences(rs.refs, policy)
+		sn.sanitizes.Add(1)
+	})
+	return rs.sanitized
 }
 
 // enabled reports whether durable snapshots are configured and usable.
@@ -129,64 +164,64 @@ func (s *Server) saveSnapshot(k Key, p *core.Pipeline) error {
 	return nil
 }
 
-// compatible reports whether a snapshot was trained under this server's
-// exact configuration — same seed, pipeline knobs, sanitize policy, and
-// reference suite. Anything else would serve predictions that diverge
-// from what this server would train, so it is refit instead.
-func (s *Server) compatible(snap *snapshot.Snapshot) bool {
-	hash, err := s.snaps.fingerprint()
-	return err == nil &&
-		snap.Seed == s.cfg.Seed &&
-		snap.TopK == s.cfg.TopK &&
-		snap.Subsamples == s.cfg.Subsamples &&
-		snap.Sanitize == s.cfg.Sanitize &&
-		snap.RefsHash == hash
-}
+// errIncompatible marks a snapshot trained under another configuration or
+// reference suite than this server's.
+var errIncompatible = errors.New("serve: snapshot trained under another configuration or reference suite")
 
-// restorePipeline validates a snapshot's key against the live algorithm
-// catalog and reconstructs its trained pipeline without refitting.
+// restorePipeline reconstructs a snapshot's pipeline without refitting,
+// onto the server's own reference suite, sanitized once per suite. It
+// fails, and the key refits, unless the snapshot was trained under this
+// server's exact configuration — same seed, pipeline knobs, sanitize
+// policy, and reference suite — names algorithms the live catalog knows,
+// and records exactly the drops the server's suite produces
+// (core.ErrCorrupt otherwise). Anything else would serve predictions that
+// diverge from what this server would train.
 func (s *Server) restorePipeline(snap *snapshot.Snapshot) (Key, *core.Pipeline, error) {
 	k := Key{Selection: snap.Selection, Metric: snap.Metric, Model: snap.Model}
+	rs := s.snaps.current()
+	if rs.err != nil || snap.Seed != s.cfg.Seed || snap.TopK != s.cfg.TopK ||
+		snap.Subsamples != s.cfg.Subsamples || snap.Sanitize != s.cfg.Sanitize ||
+		snap.RefsHash != rs.hash {
+		return k, nil, errIncompatible
+	}
 	cfg, err := s.pipelineConfig(k)
 	if err != nil {
 		return k, nil, err
 	}
-	p, err := core.Restore(cfg, snap.State)
+	p, err := core.Restore(cfg, s.snaps.references(rs, s.cfg.Sanitize), snap.State)
 	return k, p, err
 }
 
 // tryRestore is the registry's lazy restore hook: on a cold miss it loads
 // the key's snapshot if a compatible one exists on disk — covering both a
 // restarted daemon's own models and, with a shared snapshot directory,
-// models a fleet sibling already trained.
+// models a fleet sibling already trained. A snapshot that exists but
+// cannot be read or restored is counted as skipped.
 func (s *Server) tryRestore(k Key) (*core.Pipeline, bool) {
 	if !s.snaps.enabled() {
 		return nil, false
 	}
 	snap, err := s.snaps.store.Load(k.Selection, k.Metric, k.Model)
-	if err != nil {
-		return nil, false
+	if err == nil {
+		var p *core.Pipeline
+		if _, p, err = s.restorePipeline(snap); err == nil {
+			return p, true
+		}
 	}
-	if !s.compatible(snap) {
+	if !errors.Is(err, snapshot.ErrNotFound) {
 		s.snaps.skipped.Add(1)
 		snapRestoreSkips.Inc()
-		return nil, false
 	}
-	_, p, err := s.restorePipeline(snap)
-	if err != nil {
-		s.snaps.skipped.Add(1)
-		snapRestoreSkips.Inc()
-		return nil, false
-	}
-	return p, true
+	return nil, false
 }
 
 // RestoreSnapshots warm-starts the registry from the snapshot directory:
 // every compatible snapshot becomes a resident model with zero refits.
-// Corrupt, stale, or configuration-mismatched snapshots are skipped (and
-// counted), never served. Call it after New and before Warmup so /readyz
-// stays 503 until the restore has completed; the error return is reserved
-// for a durability setup so broken that snapshots cannot work at all.
+// Corrupt, stale, older-format, or configuration-mismatched snapshots are
+// skipped (and counted), never served. Call it after New and before
+// Warmup so /readyz stays 503 until the restore has completed; the error
+// return is reserved for a durability setup so broken that snapshots
+// cannot work at all.
 func (s *Server) RestoreSnapshots() (restored, skipped int, err error) {
 	if s.snaps == nil {
 		return 0, 0, nil
@@ -198,10 +233,6 @@ func (s *Server) RestoreSnapshots() (restored, skipped int, err error) {
 	snaps, errs := s.snaps.store.LoadAll()
 	skipped += len(errs)
 	for _, snap := range snaps {
-		if !s.compatible(snap) {
-			skipped++
-			continue
-		}
 		k, p, rerr := s.restorePipeline(snap)
 		if rerr != nil {
 			skipped++

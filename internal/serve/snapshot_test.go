@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wpred/internal/core"
+	"wpred/internal/telemetry"
 )
 
 // testKey is the cheap registry key the durability tests train.
@@ -171,6 +175,200 @@ func TestSnapshotCorruptFileNeverServes(t *testing.T) {
 	}
 	if st := s2.RegistryStats(); st.Fits != 1 {
 		t.Errorf("corrupt restart fits=%d, want 1 (refit)", st.Fits)
+	}
+}
+
+// keyBody renders the shared /v1/predict request for another registry key.
+func keyBody(t *testing.T, k Key, toCPUs int) []byte {
+	t.Helper()
+	var raw predictRequest
+	if err := json.Unmarshal(predictBody(t, toCPUs), &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw.Selection, raw.Metric, raw.Model = k.Selection, k.Metric, k.Model
+	body, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestSnapshotV1FileRefits plants a real v1 snapshot, which embedded the
+// whole reference suite, under its key: a v2 server skips it (counted),
+// refits the key, answers exactly what a server without snapshots
+// answers, and replaces the file with a v2 snapshot.
+func TestSnapshotV1FileRefits(t *testing.T) {
+	k := Key{Selection: "RFE LogReg", Metric: "L2,1", Model: "SVM"}
+	v1, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(v1, []byte("wpredsnap v1 ")) || !bytes.Contains(v1, []byte(`"selection":"RFE LogReg","metric":"L2,1","model":"SVM"`)) {
+		t.Fatal("testdata/v1.snap is not a v1 snapshot of RFE LogReg|L2,1|SVM")
+	}
+	body := keyBody(t, k, 4)
+
+	plain := newTestServer(t, Config{})
+	tsPlain := httptest.NewServer(plain.Handler())
+	code, want := post(t, tsPlain.URL+"/v1/predict", body)
+	tsPlain.Close()
+	if code != 200 {
+		t.Fatalf("reference predict: status %d: %s", code, want)
+	}
+
+	dir := t.TempDir()
+	s := newTestServer(t, Config{SnapshotDir: dir})
+	path := s.snaps.store.Path(k.Selection, k.Metric, k.Model)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, skipped, err := s.RestoreSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != 0 || skipped != 1 {
+		t.Fatalf("v1 snapshot: restored %d / skipped %d, want 0 / 1", restored, skipped)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, got := post(t, ts.URL+"/v1/predict", body)
+	if code != 200 {
+		t.Fatalf("predict after v1 skip: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("refit after a v1 skip answers differently:\n%s\nvs\n%s", got, want)
+	}
+	if st := s.RegistryStats(); st.Fits != 1 || st.Restores != 0 {
+		t.Errorf("fits=%d restores=%d, want 1/0", st.Fits, st.Restores)
+	}
+	if _, err := s.snaps.store.Load(k.Selection, k.Metric, k.Model); err != nil {
+		t.Errorf("the refit did not replace the v1 file with a readable v2 snapshot: %v", err)
+	}
+}
+
+// TestSnapshotDisagreeingDropsRefit rewrites a key's snapshot with a drop
+// the server's suite does not produce. The file is checksum-valid, so it
+// decodes, but restoring it fails with core.ErrCorrupt and the key refits.
+func TestSnapshotDisagreeingDropsRefit(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Config{SnapshotDir: dir})
+	if err := s1.Warmup(cheapKey()); err != nil {
+		t.Fatal(err)
+	}
+	k := cheapKey()
+	snap, err := s1.snaps.store.Load(k.Selection, k.Metric, k.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.State.Dropped) != 0 {
+		t.Fatalf("the clean test suite recorded drops: %v", snap.State.Dropped)
+	}
+	refs, _ := suite(t)
+	snap.State.Dropped = []core.DroppedExperiment{{
+		ID: refs[0].ID(), Workload: refs[0].Workload, Stage: "train",
+		Report: &telemetry.CorruptionReport{ID: refs[0].ID(), Ticks: 8, ValidTicks: 8, RejectReason: "too few ticks"},
+	}}
+	if err := s1.snaps.store.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{SnapshotDir: dir})
+	loaded, err := s2.snaps.store.Load(k.Selection, k.Metric, k.Model)
+	if err != nil {
+		t.Fatalf("the edited snapshot should decode: %v", err)
+	}
+	if _, _, err := s2.restorePipeline(loaded); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("restoring disagreeing drops: got %v, want core.ErrCorrupt", err)
+	}
+	restored, skipped, err := s2.RestoreSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != 0 || skipped != 1 {
+		t.Fatalf("disagreeing drops: restored %d / skipped %d, want 0 / 1", restored, skipped)
+	}
+	if err := s2.Warmup(cheapKey()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.RegistryStats(); st.Fits != 1 || st.Restores != 0 {
+		t.Errorf("fits=%d restores=%d, want 1/0 (refit)", st.Fits, st.Restores)
+	}
+}
+
+// TestSnapshotRestoresShareOneSanitizedSuite: restored keys share the
+// server's references, sanitized once per suite hash: not at boot, once
+// for any number of restores, not again when SetRefs installs the same
+// suite, and once more for a different suite.
+func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
+	dir := t.TempDir()
+	other := Key{Selection: "Pearson", Metric: testMetric, Model: testModel}
+	s1 := newTestServer(t, Config{SnapshotDir: dir})
+	if err := s1.Warmup(cheapKey(), other); err != nil {
+		t.Fatal(err)
+	}
+	if n := s1.snaps.sanitizes.Load(); n != 0 {
+		t.Fatalf("fits sanitized the restore suite %d times, want 0", n)
+	}
+
+	s2 := newTestServer(t, Config{SnapshotDir: dir, RegistryCap: 1})
+	if n := s2.snaps.sanitizes.Load(); n != 0 {
+		t.Fatalf("boot sanitized the suite %d times, want 0", n)
+	}
+	if restored, skipped, err := s2.RestoreSnapshots(); err != nil || restored != 2 || skipped != 0 {
+		t.Fatalf("restored %d / skipped %d (err %v), want 2 / 0", restored, skipped, err)
+	}
+	if n := s2.snaps.sanitizes.Load(); n != 1 {
+		t.Fatalf("two restores sanitized the suite %d times, want 1", n)
+	}
+	shared := s2.snaps.current().sanitized
+
+	// Concurrent lazy restores on a cold sibling share one sanitize too.
+	s3 := newTestServer(t, Config{SnapshotDir: dir})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if _, err := s3.registry.Get([]Key{cheapKey(), other}[g%2]); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s3.RegistryStats(); st.Restores != 2 || st.Fits != 0 || s3.snaps.sanitizes.Load() != 1 {
+		t.Fatalf("concurrent lazy restores: %d restores, %d fits, %d sanitizes, want 2/0/1", st.Restores, st.Fits, s3.snaps.sanitizes.Load())
+	}
+
+	// Lazy restores after evictions reuse it, also across a SetRefs that
+	// installs an identical copy of the suite.
+	refs, _ := suite(t)
+	s2.SetRefs(append([]*telemetry.Experiment(nil), refs...))
+	for _, k := range []Key{cheapKey(), other, cheapKey()} {
+		if _, err := s2.registry.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s2.RegistryStats(); st.Fits != 0 {
+		t.Fatalf("lazy restores fitted %d keys, want 0", st.Fits)
+	}
+	if n := s2.snaps.sanitizes.Load(); n != 1 || s2.snaps.current().sanitized != shared {
+		t.Fatalf("restores after an identical SetRefs sanitized %d times, want 1 shared suite", n)
+	}
+
+	// A different suite: the old snapshots are stale (refit and saved
+	// against the new hash), and the next restore sanitizes once more.
+	s2.SetRefs(refs[:len(refs)-1])
+	for _, k := range []Key{other, cheapKey(), other} {
+		if _, err := s2.registry.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s2.RegistryStats()
+	if st.Fits != 2 {
+		t.Fatalf("stale snapshots: %d fits, want 2", st.Fits)
+	}
+	if n := s2.snaps.sanitizes.Load(); n != 2 {
+		t.Fatalf("after a new suite: %d sanitizes, want 2", n)
 	}
 }
 

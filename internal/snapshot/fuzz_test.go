@@ -3,21 +3,31 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecodeSnapshot asserts the decoder is total: any byte stream either
 // yields a fully validated snapshot or an error — never a panic, and never
 // a snapshot that silently skipped validation. The committed corpus under
-// testdata/fuzz/FuzzDecodeSnapshot seeds the interesting shapes: a valid
-// snapshot, checksum-corrupted and truncated variants, version skew, and
-// header-only fragments.
+// testdata/fuzz/FuzzDecodeSnapshot seeds the interesting shapes: valid v2
+// snapshots with and without drops, checksum-corrupted and truncated
+// variants, a future version, and header-only fragments; testdata/v1.snap,
+// a real v1 file that embedded the reference suite, seeds the other side
+// of the version skew.
 func FuzzDecodeSnapshot(f *testing.F) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add([]byte{})
-	f.Add([]byte("wpredsnap v1 deadbeef\n{}"))
+	f.Add([]byte("wpredsnap v2 deadbeef\n{}"))
 	f.Add([]byte("wpredsnap v99 deadbeef\n{}"))
-	f.Add([]byte("wpredsnap v1\n"))
-	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte("wpredsnap v2\n"))
+	f.Add([]byte(`{"version":2}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))
@@ -30,11 +40,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		// A successful decode must have survived full validation: the
-		// checksum matched, so re-encoding must reproduce a decodable
-		// snapshot with the same registry key.
-		if len(s.State.Refs) == 0 || len(s.State.Selected) == 0 {
-			t.Fatalf("decoded snapshot with empty state: %+v", s)
+		// A successful decode must have survived full validation: a
+		// complete key, a selection, a report for every drop, and a
+		// re-encode that decodes to the same snapshot.
+		if s.Selection == "" || s.Metric == "" || s.Model == "" || len(s.State.Selected) == 0 {
+			t.Fatalf("decoded snapshot with an empty key or state: %+v", s)
+		}
+		for _, d := range s.State.Dropped {
+			if d.Report == nil {
+				t.Fatalf("decoded drop %q without its report", d.ID)
+			}
 		}
 		var buf bytes.Buffer
 		if err := Encode(&buf, s); err != nil {
@@ -44,8 +59,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
-		if s2.KeyString() != s.KeyString() {
-			t.Fatalf("key changed across re-encode: %q vs %q", s2.KeyString(), s.KeyString())
+		if !reflect.DeepEqual(s2, s) {
+			t.Fatalf("snapshot changed across re-encode:\n%+v\nvs\n%+v", s2, s)
 		}
 	})
 }

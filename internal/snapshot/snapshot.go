@@ -1,24 +1,31 @@
-// Package snapshot serializes fitted prediction pipelines to a versioned,
-// checksummed on-disk format so a restarted wpredd serves byte-identical
-// predictions without refitting anything (see "Durability & fleet" in
-// DESIGN.md).
+// Package snapshot serializes what a fitted prediction pipeline learned to
+// a versioned, checksummed on-disk format so a restarted wpredd serves
+// byte-identical predictions without refitting anything (see "Durability
+// & fleet" in DESIGN.md).
 //
 // A snapshot captures one model-registry entry: the registry key
 // (selection × metric × model), the training configuration identity (seed,
 // TopK, subsamples, sanitize policy, and a hash of the raw reference
-// suite), and the pipeline's trained state (sanitized references, selected
-// features, drop accounting). Everything downstream of that state is
-// deterministic in the seed, so restoring it reproduces the original
-// pipeline exactly.
+// suite), and the pipeline's learned state (selected features and the
+// train-stage drop accounting). It holds no reference experiments: every
+// key trains against the same suite, which the restoring server already
+// has, so the server sanitizes its own suite once and restores every
+// snapshot onto it. The suite hash proves it is the same suite; the
+// recorded drops are checked against the server's by core.Restore.
+// Everything downstream of that state is deterministic in the seed, so
+// restoring it reproduces the original pipeline exactly.
 //
 // The file format is a single header line
 //
-//	wpredsnap v1 <sha256-hex-of-payload>\n
+//	wpredsnap v2 <sha256-hex-of-payload>\n
 //
 // followed by the JSON payload. The decoder verifies the magic, the
 // version, and the checksum before touching the payload, so corrupt or
 // truncated files always yield ErrCorrupt — never a panic, and never a
-// pipeline trained on garbage. FuzzDecodeSnapshot locks that in.
+// pipeline restored from garbage. Files of any other version, including
+// v1 files that embedded the whole sanitized suite, yield ErrVersion; the
+// server refits their keys like any unreadable snapshot.
+// FuzzDecodeSnapshot locks that in.
 package snapshot
 
 import (
@@ -37,7 +44,7 @@ import (
 
 // Version is the current snapshot format version. Decode rejects any other
 // version with ErrVersion.
-const Version = 1
+const Version = 2
 
 // magic is the file-format tag in the header line.
 const magic = "wpredsnap"
@@ -62,11 +69,12 @@ type Snapshot struct {
 	Subsamples int
 	Sanitize   telemetry.SanitizePolicy
 	// RefsHash fingerprints the raw reference suite the pipeline trained
-	// on (SuiteHash). A daemon whose suite changed must not restore.
+	// on (SuiteHash). A daemon whose suite changed must not restore; one
+	// whose suite matches restores the state onto that suite.
 	RefsHash string
 	// CreatedUnix is the snapshot's write time (Unix seconds).
 	CreatedUnix int64
-	// State is the pipeline's trained state.
+	// State is the pipeline's learned state.
 	State core.PipelineState
 }
 
@@ -83,10 +91,7 @@ type droppedJSON struct {
 	Report   *telemetry.CorruptionReport `json:"report"`
 }
 
-// payloadJSON is the wire form of a snapshot. Reference experiments embed
-// the canonical telemetry JSON documents so the snapshot decoder reuses
-// the hardened telemetry reader (unknown feature names and ragged series
-// are rejected there).
+// payloadJSON is the wire form of a snapshot.
 type payloadJSON struct {
 	Version          int                      `json:"version"`
 	Selection        string                   `json:"selection"`
@@ -99,15 +104,11 @@ type payloadJSON struct {
 	RefsHash         string                   `json:"refs_hash"`
 	CreatedUnix      int64                    `json:"created_unix"`
 	SelectedFeatures []string                 `json:"selected_features"`
-	Refs             []json.RawMessage        `json:"refs"`
 	Dropped          []droppedJSON            `json:"dropped,omitempty"`
 }
 
 // Encode writes the snapshot to w in the versioned, checksummed format.
 func Encode(w io.Writer, s *Snapshot) error {
-	if len(s.State.Refs) == 0 {
-		return errors.New("snapshot: encode: state has no references")
-	}
 	if len(s.State.Selected) == 0 {
 		return errors.New("snapshot: encode: state has no selected features")
 	}
@@ -126,14 +127,6 @@ func Encode(w io.Writer, s *Snapshot) error {
 	for _, f := range s.State.Selected {
 		p.SelectedFeatures = append(p.SelectedFeatures, f.String())
 	}
-	var buf bytes.Buffer
-	for _, e := range s.State.Refs {
-		buf.Reset()
-		if err := telemetry.WriteExperiment(&buf, e); err != nil {
-			return fmt.Errorf("snapshot: encode reference %s: %w", e.ID(), err)
-		}
-		p.Refs = append(p.Refs, json.RawMessage(bytes.Clone(bytes.TrimSpace(buf.Bytes()))))
-	}
 	for _, d := range s.State.Dropped {
 		p.Dropped = append(p.Dropped, droppedJSON{ID: d.ID, Workload: d.Workload, Stage: d.Stage, Report: d.Report})
 	}
@@ -150,10 +143,10 @@ func Encode(w io.Writer, s *Snapshot) error {
 }
 
 // Decode reads and validates one snapshot. Any structural failure —
-// truncation, a flipped byte anywhere, unknown feature names, undecodable
-// references — yields an error wrapping ErrCorrupt (or ErrVersion for a
-// format from the future); Decode never panics and never returns a
-// partially populated snapshot.
+// truncation, a flipped byte anywhere, unknown feature names, a drop
+// without its report — yields an error wrapping ErrCorrupt (or ErrVersion
+// for a file of another format version); Decode never panics and never
+// returns a partially populated snapshot.
 func Decode(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -217,17 +210,10 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		}
 		s.State.Selected = append(s.State.Selected, f)
 	}
-	if len(p.Refs) == 0 {
-		return nil, fmt.Errorf("%w: no reference experiments", ErrCorrupt)
-	}
-	for i, doc := range p.Refs {
-		e, err := telemetry.ReadExperiment(bytes.NewReader(doc))
-		if err != nil {
-			return nil, fmt.Errorf("%w: reference %d: %v", ErrCorrupt, i, err)
+	for i, d := range p.Dropped {
+		if d.Report == nil {
+			return nil, fmt.Errorf("%w: dropped reference %d has no report", ErrCorrupt, i)
 		}
-		s.State.Refs = append(s.State.Refs, e)
-	}
-	for _, d := range p.Dropped {
 		s.State.Dropped = append(s.State.Dropped, core.DroppedExperiment{
 			ID: d.ID, Workload: d.Workload, Stage: d.Stage, Report: d.Report,
 		})

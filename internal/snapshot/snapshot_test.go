@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"wpred/internal/bench"
 	"wpred/internal/core"
+	"wpred/internal/featsel"
 	"wpred/internal/telemetry"
 )
 
@@ -60,8 +62,9 @@ func testSnapshot(t *testing.T) (*Snapshot, *core.Pipeline, core.Config) {
 }
 
 // TestEncodeDecodeRoundTrip locks in the durability contract: a snapshot
-// decodes to a state whose restored pipeline predicts byte-identically to
-// the original, and the snapshot identity fields survive verbatim.
+// decodes to a state whose pipeline, restored onto the same suite,
+// predicts byte-identically to the original, and the snapshot identity
+// fields survive verbatim.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	snap, orig, cfg := testSnapshot(t)
 	var buf bytes.Buffer
@@ -77,11 +80,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		got.RefsHash != snap.RefsHash || got.CreatedUnix != snap.CreatedUnix {
 		t.Errorf("identity fields did not round-trip: %+v vs %+v", got, snap)
 	}
-	if len(got.State.Refs) != len(snap.State.Refs) {
-		t.Fatalf("got %d refs, want %d", len(got.State.Refs), len(snap.State.Refs))
+	if !reflect.DeepEqual(got.State, snap.State) {
+		t.Fatalf("state did not round-trip: %+v vs %+v", got.State, snap.State)
 	}
 
-	restored, err := core.Restore(cfg, got.State)
+	restored, err := core.Restore(cfg, core.SanitizeReferences(testRefs(t), cfg.Sanitize), got.State)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"trailing garbage":    append(append([]byte(nil), valid...), "junk"...),
 		"header only":         valid[:nl+1],
 		"garbage":             []byte("not a snapshot at all\n{}"),
-		"valid header no sum": []byte("wpredsnap v1\n{}"),
+		"valid header no sum": []byte("wpredsnap v2\n{}"),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -148,16 +151,75 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // TestDecodeRejectsFutureVersion asserts a higher format version fails
 // with ErrVersion (not ErrCorrupt), so operators can tell "roll forward"
-// from "disk rot".
+// from "disk rot". So does a v1 file, which embedded the reference suite:
+// its key refits.
 func TestDecodeRejectsFutureVersion(t *testing.T) {
 	snap, _, _ := testSnapshot(t)
 	var buf bytes.Buffer
 	if err := Encode(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	data := bytes.Replace(buf.Bytes(), []byte("wpredsnap v1 "), []byte("wpredsnap v2 "), 1)
+	data := bytes.Replace(buf.Bytes(), []byte("wpredsnap v2 "), []byte("wpredsnap v3 "), 1)
 	if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: got %v, want ErrVersion", err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
+		t.Errorf("v1 file: got %v, want ErrVersion", err)
+	}
+}
+
+// TestEncodeDefaultSuiteSize: a snapshot over wpredd's default reference
+// suite (5 workloads × 4 SKUs × 3 runs) holds no reference experiments, so
+// it encodes to 64 KB or less — even with every reference dropped.
+func TestEncodeDefaultSuiteSize(t *testing.T) {
+	var skus []telemetry.SKU
+	for _, c := range []int{2, 4, 8, 16} {
+		skus = append(skus, telemetry.SKU{CPUs: c, MemoryGB: 8 * c})
+	}
+	refs := bench.GenerateSuite(bench.Standard(), skus, []int{8}, 3, telemetry.NewSource(42))
+	cfg := core.Config{Seed: 42, Selection: featsel.VarianceThreshold{}}
+	p, err := core.TrainPipeline(cfg, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := SuiteHash(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &Snapshot{
+		Selection: "Variance", Metric: "L2,1", Model: "SVM", Seed: 42,
+		RefsHash: hash, CreatedUnix: 1754600000, State: st,
+	}
+	const limit = 64 << 10
+	var buf bytes.Buffer
+	if err := Encode(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > limit {
+		t.Errorf("default-suite snapshot is %d bytes, want <= %d", buf.Len(), limit)
+	}
+
+	// Worst case: every reference dropped, with its full report.
+	for _, e := range refs {
+		snap.State.Dropped = append(snap.State.Dropped, core.DroppedExperiment{
+			ID: e.ID(), Workload: e.Workload, Stage: "train",
+			Report: &telemetry.CorruptionReport{ID: e.ID(), Ticks: 1 << 20, RejectReason: "only 0 of 1048576 ticks valid"},
+		})
+	}
+	buf.Reset()
+	if err := Encode(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > limit {
+		t.Errorf("snapshot dropping the whole default suite is %d bytes, want <= %d", buf.Len(), limit)
 	}
 }
 
@@ -220,7 +282,7 @@ func TestLoadAllSkipsCorruptFiles(t *testing.T) {
 	if err := st.Save(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(st.Dir(), "rotten"+ext), []byte("wpredsnap v1 zz\n{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(st.Dir(), "rotten"+ext), []byte("wpredsnap v2 zz\n{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	snaps, errs := st.LoadAll()
