@@ -171,6 +171,7 @@ func TestChaosKillAndWarmRestartUnderLoad(t *testing.T) {
 		stop      = make(chan struct{})
 	)
 	client := &http.Client{}
+	loadStart := time.Now()
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -219,13 +220,13 @@ func TestChaosKillAndWarmRestartUnderLoad(t *testing.T) {
 	restarted := fleet[victimIdx]
 
 	// Load continues against the healed fleet long enough for the router
-	// to re-admit the restarted backend (cooldown + probe interval), and
-	// until at least 50 requests have completed: the kill and restart take
-	// as long as the drain's snapshot writes and the restore, so the window
-	// alone does not fix how much load runs. A generator that cannot
-	// complete 50 requests in 30 s has stalled.
+	// to re-admit the restarted backend (cooldown + probe interval), then
+	// until 50 requests have completed or the load has run for 6 s. The
+	// sleeps alone would shrink the load with a faster kill and restart;
+	// with the deadline the stall check is a rate: fewer than 50 requests
+	// in 6 s of load fails.
 	time.Sleep(700 * time.Millisecond)
-	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+	for deadline := loadStart.Add(6 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		mu.Lock()
 		n := total
 		mu.Unlock()
@@ -243,7 +244,7 @@ func TestChaosKillAndWarmRestartUnderLoad(t *testing.T) {
 		t.Errorf("%d of %d responses diverged from golden; first: %s", len(divergent), total, divergent[0])
 	}
 	if total < 50 {
-		t.Errorf("only %d requests completed; load generator stalled", total)
+		t.Errorf("only %d requests completed in %v of load; load generator stalled", total, time.Since(loadStart))
 	}
 
 	// Fleet-wide fits == distinct keys: the shared snapshot directory

@@ -158,7 +158,8 @@ func (s *Server) Refs() []*telemetry.Experiment { return *s.refs.Load() }
 // resident keep serving (and stay byte-stable) until a drift event
 // invalidates their key; fits, refits, and snapshot-compatibility checks
 // from this point on see the new suite, so stale snapshots trained on the
-// old suite are refit instead of restored.
+// old suite are refit instead of restored, and a drain does not write the
+// resident models of the old suite.
 func (s *Server) SetRefs(refs []*telemetry.Experiment) {
 	s.refs.Store(&refs)
 	if s.snaps != nil {
@@ -209,12 +210,20 @@ func (s *Server) trainKey(k Key) (*core.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.TrainPipeline(cfg, s.Refs())
+	// With durability on, the fit trains on the suite snapshots record, so
+	// its snapshot carries the hash of what it learned from even when
+	// SetRefs swaps the suite mid-fit.
+	refs, rs := s.Refs(), s.snaps.usable()
+	if rs != nil {
+		refs = rs.refs
+	}
+	p, err := core.TrainPipeline(cfg, refs)
 	if err != nil {
 		return nil, err
 	}
-	if s.snaps.enabled() {
-		_ = s.saveSnapshot(k, p)
+	if rs != nil {
+		s.snaps.learned(p, rs)
+		_ = s.saveSnapshot(k, p, rs)
 	}
 	return p, nil
 }

@@ -3,9 +3,11 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"wpred/internal/core"
 	"wpred/internal/obs"
@@ -26,8 +28,9 @@ var (
 )
 
 // snapshots is the server's durability state: the on-disk store, the
-// reference suite restores are validated against and restored onto, and
-// the counters the health payloads expose.
+// reference suite fits train on and restores are validated against and
+// restored onto, the suite each live pipeline learned from, and the
+// counters the health payloads expose.
 type snapshots struct {
 	store *snapshot.Store
 
@@ -36,9 +39,13 @@ type snapshots struct {
 	// from the moment the swap happens.
 	suiteMu sync.RWMutex
 	suite   *refSuite
-	// sanitizes counts the suites sanitized for restores, one per suite
-	// hash.
-	sanitizes atomic.Uint64
+
+	// learnedFrom maps each pipeline this server trained or restored to
+	// the suite it learned from, so a snapshot carries that suite's hash
+	// even after SetRefs has replaced it. Keys are weak: an entry goes
+	// when its pipeline has left the registry and been collected.
+	learnedMu   sync.Mutex
+	learnedFrom map[weak.Pointer[core.Pipeline]]*refSuite
 
 	restorePending atomic.Bool
 	restored       atomic.Uint64
@@ -63,7 +70,9 @@ type refSuite struct {
 }
 
 // setRefs re-fingerprints the reference suite after a SetRefs swap. A suite
-// with the same fingerprint keeps the references already sanitized for it.
+// with the same fingerprint, which holds the same experiments, keeps the
+// record it replaces: its slice, which fits train on, and the references
+// already sanitized for it.
 func (sn *snapshots) setRefs(refs []*telemetry.Experiment) {
 	h, err := snapshot.SuiteHash(refs)
 	sn.suiteMu.Lock()
@@ -81,30 +90,50 @@ func (sn *snapshots) current() *refSuite {
 	return sn.suite
 }
 
-// fingerprint returns the current reference-suite hash (or the error that
-// disabled durability).
-func (sn *snapshots) fingerprint() (string, error) {
-	rs := sn.current()
-	return rs.hash, rs.err
-}
-
-// references returns the suite sanitized under policy, sanitizing it on
-// the first call.
-func (sn *snapshots) references(rs *refSuite, policy telemetry.SanitizePolicy) *core.References {
-	rs.once.Do(func() {
-		rs.sanitized = core.SanitizeReferences(rs.refs, policy)
-		sn.sanitizes.Add(1)
-	})
-	return rs.sanitized
+// usable returns the current reference suite when durable snapshots are
+// configured and the suite could be fingerprinted, else nil.
+func (sn *snapshots) usable() *refSuite {
+	if sn == nil || sn.store == nil {
+		return nil
+	}
+	if rs := sn.current(); rs.err == nil {
+		return rs
+	}
+	return nil
 }
 
 // enabled reports whether durable snapshots are configured and usable.
-func (sn *snapshots) enabled() bool {
-	if sn == nil || sn.store == nil {
-		return false
-	}
-	_, err := sn.fingerprint()
-	return err == nil
+func (sn *snapshots) enabled() bool { return sn.usable() != nil }
+
+// references returns rs sanitized under policy, sanitizing it on the
+// first call.
+func (rs *refSuite) references(policy telemetry.SanitizePolicy) *core.References {
+	rs.once.Do(func() { rs.sanitized = core.SanitizeReferences(rs.refs, policy) })
+	return rs.sanitized
+}
+
+// learned records that p was trained on or restored onto rs.
+func (sn *snapshots) learned(p *core.Pipeline, rs *refSuite) {
+	wp := weak.Make(p)
+	sn.learnedMu.Lock()
+	sn.learnedFrom[wp] = rs
+	sn.learnedMu.Unlock()
+	runtime.AddCleanup(p, sn.forget, wp)
+}
+
+// forget drops a collected pipeline's entry.
+func (sn *snapshots) forget(wp weak.Pointer[core.Pipeline]) {
+	sn.learnedMu.Lock()
+	delete(sn.learnedFrom, wp)
+	sn.learnedMu.Unlock()
+}
+
+// learnedSuite returns the suite p was trained on or restored onto, or nil
+// for a pipeline this server did not record.
+func (sn *snapshots) learnedSuite(p *core.Pipeline) *refSuite {
+	sn.learnedMu.Lock()
+	defer sn.learnedMu.Unlock()
+	return sn.learnedFrom[weak.Make(p)]
 }
 
 // newSnapshots builds the durability state for a server, or nil when no
@@ -113,20 +142,19 @@ func newSnapshots(cfg Config) *snapshots {
 	if cfg.SnapshotDir == "" {
 		return nil
 	}
-	sn := &snapshots{store: snapshot.NewStore(cfg.SnapshotDir)}
+	sn := &snapshots{
+		store:       snapshot.NewStore(cfg.SnapshotDir),
+		learnedFrom: map[weak.Pointer[core.Pipeline]]*refSuite{},
+	}
 	sn.setRefs(cfg.Refs)
 	sn.restorePending.Store(true)
 	return sn
 }
 
-// snapshotFor wraps a trained pipeline in its on-disk form, stamping the
-// configuration identity restores are checked against.
-func (s *Server) snapshotFor(k Key, p *core.Pipeline) (*snapshot.Snapshot, error) {
+// snapshotFor wraps a pipeline learned from rs in its on-disk form,
+// stamping the configuration identity restores are checked against.
+func (s *Server) snapshotFor(k Key, p *core.Pipeline, rs *refSuite) (*snapshot.Snapshot, error) {
 	st, err := p.State()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := s.snaps.fingerprint()
 	if err != nil {
 		return nil, err
 	}
@@ -138,17 +166,17 @@ func (s *Server) snapshotFor(k Key, p *core.Pipeline) (*snapshot.Snapshot, error
 		TopK:        s.cfg.TopK,
 		Subsamples:  s.cfg.Subsamples,
 		Sanitize:    s.cfg.Sanitize,
-		RefsHash:    hash,
+		RefsHash:    rs.hash,
 		CreatedUnix: time.Now().Unix(),
 		State:       st,
 	}, nil
 }
 
-// saveSnapshot persists one registry entry. Failures degrade durability,
-// not availability: they are counted and surfaced on /healthz but never
-// fail the fit that produced the model.
-func (s *Server) saveSnapshot(k Key, p *core.Pipeline) error {
-	snap, err := s.snapshotFor(k, p)
+// saveSnapshot persists one registry entry learned from rs. Failures
+// degrade durability, not availability: they are counted and surfaced on
+// /healthz but never fail the fit that produced the model.
+func (s *Server) saveSnapshot(k Key, p *core.Pipeline, rs *refSuite) error {
+	snap, err := s.snapshotFor(k, p, rs)
 	if err == nil {
 		err = s.snaps.store.Save(snap)
 	}
@@ -188,8 +216,12 @@ func (s *Server) restorePipeline(snap *snapshot.Snapshot) (Key, *core.Pipeline, 
 	if err != nil {
 		return k, nil, err
 	}
-	p, err := core.Restore(cfg, s.snaps.references(rs, s.cfg.Sanitize), snap.State)
-	return k, p, err
+	p, err := core.Restore(cfg, rs.references(s.cfg.Sanitize), snap.State)
+	if err != nil {
+		return k, nil, err
+	}
+	s.snaps.learned(p, rs)
+	return k, p, nil
 }
 
 // tryRestore is the registry's lazy restore hook: on a cold miss it loads
@@ -227,7 +259,7 @@ func (s *Server) RestoreSnapshots() (restored, skipped int, err error) {
 		return 0, 0, nil
 	}
 	defer s.snaps.restorePending.Store(false)
-	if _, err := s.snaps.fingerprint(); err != nil {
+	if err := s.snaps.current().err; err != nil {
 		return 0, 0, fmt.Errorf("serve: snapshots disabled: %w", err)
 	}
 	snaps, errs := s.snaps.store.LoadAll()
@@ -250,17 +282,25 @@ func (s *Server) RestoreSnapshots() (restored, skipped int, err error) {
 	return restored, skipped, nil
 }
 
-// persistResident snapshots every successfully trained resident model —
-// the SIGTERM drain path, which also repairs any on-fit snapshot write
-// that failed transiently. It returns the first error (all writes are
-// still attempted).
+// persistResident snapshots every successfully trained resident model
+// learned from the current suite — the SIGTERM drain path, which also
+// repairs any on-fit snapshot write that failed transiently. A model
+// learned from a suite SetRefs has since replaced keeps serving until its
+// key is invalidated, but a restart on the current suite would refit it,
+// so it is not written. It returns the first error (all writes are still
+// attempted).
 func (s *Server) persistResident() error {
-	if !s.snaps.enabled() {
+	cur := s.snaps.usable()
+	if cur == nil {
 		return nil
 	}
 	var first error
 	for k, p := range s.registry.Resident() {
-		if err := s.saveSnapshot(k, p); err != nil && first == nil {
+		rs := s.snaps.learnedSuite(p)
+		if rs == nil || rs.hash != cur.hash {
+			continue
+		}
+		if err := s.saveSnapshot(k, p, rs); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -193,8 +194,9 @@ func keyBody(t *testing.T, k Key, toCPUs int) []byte {
 	return body
 }
 
-// TestSnapshotV1FileRefits plants a real v1 snapshot, which embedded the
-// whole reference suite, under its key: a v2 server skips it (counted),
+// TestSnapshotV1FileRefits plants a v1 snapshot under its key (a v1 file
+// embedded the whole reference suite; the fixture keeps only its header
+// and key, all a v2 decoder reads of it): a v2 server skips it (counted),
 // refits the key, answers exactly what a server without snapshots
 // answers, and replaces the file with a v2 snapshot.
 func TestSnapshotV1FileRefits(t *testing.T) {
@@ -306,21 +308,21 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	if err := s1.Warmup(cheapKey(), other); err != nil {
 		t.Fatal(err)
 	}
-	if n := s1.snaps.sanitizes.Load(); n != 0 {
-		t.Fatalf("fits sanitized the restore suite %d times, want 0", n)
+	if s1.snaps.current().sanitized != nil {
+		t.Fatal("fits sanitized the restore suite")
 	}
 
 	s2 := newTestServer(t, Config{SnapshotDir: dir, RegistryCap: 1})
-	if n := s2.snaps.sanitizes.Load(); n != 0 {
-		t.Fatalf("boot sanitized the suite %d times, want 0", n)
+	if s2.snaps.current().sanitized != nil {
+		t.Fatal("boot sanitized the suite")
 	}
 	if restored, skipped, err := s2.RestoreSnapshots(); err != nil || restored != 2 || skipped != 0 {
 		t.Fatalf("restored %d / skipped %d (err %v), want 2 / 0", restored, skipped, err)
 	}
-	if n := s2.snaps.sanitizes.Load(); n != 1 {
-		t.Fatalf("two restores sanitized the suite %d times, want 1", n)
-	}
 	shared := s2.snaps.current().sanitized
+	if shared == nil {
+		t.Fatal("restores left the suite unsanitized")
+	}
 
 	// Concurrent lazy restores on a cold sibling share one sanitize too.
 	s3 := newTestServer(t, Config{SnapshotDir: dir})
@@ -335,8 +337,8 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := s3.RegistryStats(); st.Restores != 2 || st.Fits != 0 || s3.snaps.sanitizes.Load() != 1 {
-		t.Fatalf("concurrent lazy restores: %d restores, %d fits, %d sanitizes, want 2/0/1", st.Restores, st.Fits, s3.snaps.sanitizes.Load())
+	if st := s3.RegistryStats(); st.Restores != 2 || st.Fits != 0 || s3.snaps.current().sanitized == nil {
+		t.Fatalf("concurrent lazy restores: %d restores, %d fits, want 2/0 onto a sanitized suite", st.Restores, st.Fits)
 	}
 
 	// Lazy restores after evictions reuse it, also across a SetRefs that
@@ -351,8 +353,8 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	if st := s2.RegistryStats(); st.Fits != 0 {
 		t.Fatalf("lazy restores fitted %d keys, want 0", st.Fits)
 	}
-	if n := s2.snaps.sanitizes.Load(); n != 1 || s2.snaps.current().sanitized != shared {
-		t.Fatalf("restores after an identical SetRefs sanitized %d times, want 1 shared suite", n)
+	if s2.snaps.current().sanitized != shared {
+		t.Fatal("restores after an identical SetRefs sanitized the suite again")
 	}
 
 	// A different suite: the old snapshots are stale (refit and saved
@@ -367,8 +369,93 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	if st.Fits != 2 {
 		t.Fatalf("stale snapshots: %d fits, want 2", st.Fits)
 	}
-	if n := s2.snaps.sanitizes.Load(); n != 2 {
-		t.Fatalf("after a new suite: %d sanitizes, want 2", n)
+	if cur := s2.snaps.current().sanitized; cur == nil || cur == shared {
+		t.Fatal("a restore on a new suite did not sanitize it afresh")
+	}
+}
+
+// TestSnapshotDrainAfterSetRefs trains a key, swaps in a different suite
+// with SetRefs, and drains. The resident model learned from the old suite,
+// so the drain must not stamp it with the new suite's hash: a restart on
+// the new suite refits the key and answers exactly what a server without
+// snapshots answers on that suite.
+func TestSnapshotDrainAfterSetRefs(t *testing.T) {
+	dir := t.TempDir()
+	refs, _ := suite(t)
+	newRefs := refs[:len(refs)-1]
+	body := predictBody(t, 4)
+
+	plain := newTestServer(t, Config{Refs: newRefs})
+	tsPlain := httptest.NewServer(plain.Handler())
+	code, want := post(t, tsPlain.URL+"/v1/predict", body)
+	tsPlain.Close()
+	if code != 200 {
+		t.Fatalf("reference predict: status %d: %s", code, want)
+	}
+
+	s1 := newTestServer(t, Config{SnapshotDir: dir})
+	if err := s1.Warmup(cheapKey()); err != nil {
+		t.Fatal(err)
+	}
+	s1.SetRefs(newRefs)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := s1.snapshotStatus(); st.Written != 1 || st.WriteErrors != 0 {
+		t.Fatalf("written %d / write errors %d, want 1 / 0: the drain wrote the old-suite model", st.Written, st.WriteErrors)
+	}
+
+	s2 := newTestServer(t, Config{SnapshotDir: dir, Refs: newRefs})
+	restored, skipped, err := s2.RestoreSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != 0 || skipped != 1 {
+		t.Fatalf("restart on the new suite restored %d / skipped %d, want 0 / 1", restored, skipped)
+	}
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	code, got := post(t, ts.URL+"/v1/predict", body)
+	if code != 200 {
+		t.Fatalf("predict after restart: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("restart on the new suite answers differently from a fresh fit:\n%s\nvs\n%s", got, want)
+	}
+	if st := s2.RegistryStats(); st.Fits != 1 || st.Restores != 0 {
+		t.Errorf("fits=%d restores=%d, want 1/0 (refit)", st.Fits, st.Restores)
+	}
+}
+
+// TestSnapshotForgetsEvictedPipelines: the record of which suite a
+// pipeline learned from does not keep evicted pipelines alive; their
+// entries go once they are collected.
+func TestSnapshotForgetsEvictedPipelines(t *testing.T) {
+	s := newTestServer(t, Config{SnapshotDir: t.TempDir(), RegistryCap: 1})
+	other := Key{Selection: "Pearson", Metric: testMetric, Model: testModel}
+	for _, k := range []Key{cheapKey(), other} {
+		if _, err := s.registry.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := func() int {
+		s.snaps.learnedMu.Lock()
+		defer s.snaps.learnedMu.Unlock()
+		return len(s.snaps.learnedFrom)
+	}
+	for deadline := time.Now().Add(5 * time.Second); entries() > 1 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := entries(); n != 1 {
+		t.Fatalf("%d recorded pipelines after an eviction, want 1 (the resident one)", n)
+	}
+	for _, p := range s.registry.Resident() {
+		if s.snaps.learnedSuite(p) != s.snaps.current() {
+			t.Fatal("the resident pipeline's suite is not recorded")
+		}
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // testdata/fuzz/FuzzDecodeSnapshot seeds the interesting shapes: valid v2
 // snapshots with and without drops, checksum-corrupted and truncated
 // variants, a future version, and header-only fragments; testdata/v1.snap,
-// a real v1 file that embedded the reference suite, seeds the other side
-// of the version skew.
+// a v1 header over a payload that names only the registry key, seeds the
+// other side of the version skew. Decode rejects a v1 file from its header
+// line, so the reference suite a real one embedded would add nothing.
 func FuzzDecodeSnapshot(f *testing.F) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1.snap"))
 	if err != nil {
