@@ -29,11 +29,13 @@ fmt-check:
 # shared caches are exercised here.
 verify: fmt-check build vet race
 
-# fuzz runs the telemetry decoder and VP-tree query fuzzers for short
-# bursts beyond their committed seed corpora (the corpora themselves run
-# as plain tests under make test/verify).
+# fuzz runs the telemetry decoder, wpredd request decoder (every accepted
+# request is also predicted) and VP-tree query fuzzers for short bursts
+# beyond their committed seed corpora (the corpora themselves run as plain
+# tests under make test/verify).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadExperiments -fuzztime 30s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzVPTreeQuery -fuzztime 30s ./internal/ann/
 
 # serve-test is the focused gate for the serving layer: the wpredd e2e
@@ -79,20 +81,23 @@ bench:
 
 # bench-check is the fast perf-regression gate: it re-runs the Fit and
 # Predict macro-benchmarks (including the memoized pipeline predict path,
-# BenchmarkPredictPipeline in internal/core) plus the DTW-cascade and
-# nearest-reference index micro-benchmarks with short settings and fails
-# (non-zero exit) when any median ns/op, allocs/op, or B/op regresses more
-# than 20% against the committed BENCH.baseline.json (zero-alloc baselines
-# fail on any new allocation; tiny B/op baselines get a 64-byte floor), and
-# when a baseline benchmark is missing from the run. The check and the
+# BenchmarkPredictPipeline in internal/core), the in-process wpredd
+# handler hits (BenchmarkServePredictSingle and BenchmarkServePredictBatch8
+# in internal/serve: request decode through response encode on a warm key)
+# plus the DTW-cascade and nearest-reference index micro-benchmarks with
+# short settings and fails (non-zero exit) when any median ns/op,
+# allocs/op, or B/op regresses more than 20% against the committed
+# BENCH.baseline.json (zero-alloc baselines fail on any new allocation;
+# tiny B/op baselines get a 64-byte floor), and when a baseline benchmark
+# is missing from the run. The check and the
 # baseline recording below both use -cpu 1, so benchmark names carry no -N
 # suffix on any host and match the baseline's. The fresh snapshot is left
 # in BENCH.check.json so CI can archive it. Regenerate the baseline on the
 # same machine class after an intentional perf change:
-#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -cpu 1 ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.txt
+#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest|BenchmarkServePredict' -benchmem -count 3 -benchtime 0.3s -cpu 1 ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ ./internal/serve/ > bench.txt
 #   go run ./cmd/benchdiff -parse bench.txt -o BENCH.baseline.json
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest' -benchmem -count 3 -benchtime 0.3s -cpu 1 -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ > bench.check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest|BenchmarkServePredict' -benchmem -count 3 -benchtime 0.3s -cpu 1 -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ ./internal/serve/ > bench.check.txt
 	$(GO) run ./cmd/benchdiff -parse bench.check.txt -o BENCH.check.json
 	$(GO) run ./cmd/benchdiff -threshold 20 BENCH.baseline.json BENCH.check.json
 	@rm -f bench.check.txt

@@ -66,14 +66,9 @@ type observeResponse struct {
 
 // decodeObserveRequest decodes and validates one feedback observation.
 func decodeObserveRequest(r io.Reader) (Key, drift.Observation, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var raw observeRequest
-	if err := dec.Decode(&raw); err != nil {
-		return Key{}, drift.Observation{}, decodeErr(err)
-	}
-	if dec.More() {
-		return Key{}, drift.Observation{}, errors.New("serve: trailing data after observation object")
+	if err := decodeStrict(r, &raw, "observation"); err != nil {
+		return Key{}, drift.Observation{}, err
 	}
 	key, err := validateKey(raw.Selection, raw.Metric, raw.Model)
 	if err != nil {

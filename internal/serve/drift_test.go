@@ -39,7 +39,7 @@ func observeBody(t *testing.T, k Key, tick int64, observed, predicted float64) [
 func marshalPredictKey(t *testing.T, k Key, toCPUs int) []byte {
 	t.Helper()
 	_, targets := suite(t)
-	raw := predictRequest{
+	raw := predictWire{
 		Selection: k.Selection,
 		Metric:    k.Metric,
 		Model:     k.Model,

@@ -54,7 +54,7 @@ func TestPanickingBatchItemFailsOnlyThatItem(t *testing.T) {
 	}
 
 	good, bad := predictBody(t, 4), predictBody(t, 2)
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{good, bad, good}})
+	batch, err := json.Marshal(batchWire{Requests: []json.RawMessage{good, bad, good}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,12 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 
 	"wpred/internal/core"
@@ -51,18 +51,20 @@ type skuJSON struct {
 
 // predictRequest is the wire form of one prediction: an optional model
 // key (selection × metric × model family), the target SKU, and the target
-// workload's telemetry in the wlgen/library experiment format.
+// workload's telemetry in the wlgen/library experiment format. Targets
+// decode straight into the telemetry wire struct, in the same pass as the
+// rest of the body.
 type predictRequest struct {
-	Selection string            `json:"selection,omitempty"`
-	Metric    string            `json:"metric,omitempty"`
-	Model     string            `json:"model,omitempty"`
-	ToSKU     skuJSON           `json:"to_sku"`
-	Target    []json.RawMessage `json:"target"`
+	Selection string                     `json:"selection,omitempty"`
+	Metric    string                     `json:"metric,omitempty"`
+	Model     string                     `json:"model,omitempty"`
+	ToSKU     skuJSON                    `json:"to_sku"`
+	Target    []telemetry.ExperimentJSON `json:"target"`
 }
 
 // batchRequest is the wire form of /v1/predict/batch.
 type batchRequest struct {
-	Requests []json.RawMessage `json:"requests"`
+	Requests []predictRequest `json:"requests"`
 }
 
 // PredictRequest is a decoded, validated prediction request.
@@ -112,30 +114,37 @@ func knownNames[T any](all []T, name func(T) string) string {
 var errTooLarge = errors.New("serve: request body too large")
 
 // decodePredictRequest decodes and validates one prediction request. Every
-// failure is a client error: malformed JSON, unknown top-level fields,
-// unknown algorithm names, out-of-range SKUs, and empty or oversized
-// target lists are all rejected with descriptive messages.
+// failure is a client error: malformed JSON, unknown fields (target
+// documents included), unknown algorithm or feature names, out-of-range
+// SKUs, and empty or oversized target lists are all rejected with
+// descriptive messages.
 func decodePredictRequest(r io.Reader) (*PredictRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var raw predictRequest
-	if err := dec.Decode(&raw); err != nil {
-		return nil, decodeErr(err)
-	}
-	if dec.More() {
-		return nil, errors.New("serve: trailing data after request object")
+	if err := decodeStrict(r, &raw, "request"); err != nil {
+		return nil, err
 	}
 	return validatePredictRequest(&raw)
 }
 
-// decodeErr normalizes decoder failures, keeping the body-size sentinel
-// (http.MaxBytesReader surfaces *http.MaxBytesError through json) distinct
-// so the handler can answer 413 instead of 400.
-func decodeErr(err error) error {
-	if err.Error() == "http: request body too large" {
-		return errTooLarge
+// decodeStrict decodes one JSON object from r into v in a single pass.
+// Unknown fields at any depth and trailing data after the object (what
+// names it in the error) are rejected. The body-size sentinel
+// (http.MaxBytesReader surfaces *http.MaxBytesError through json) stays
+// distinct, so the handler can answer 413 instead of 400.
+func decodeStrict(r io.Reader, v any, what string) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return errTooLarge
+		}
+		return fmt.Errorf("serve: decode request: %w", err)
 	}
-	return fmt.Errorf("serve: decode request: %w", err)
+	if dec.More() {
+		return fmt.Errorf("serve: trailing data after %s object", what)
+	}
+	return nil
 }
 
 // validateKey applies defaults and resolves the key's algorithm names
@@ -183,8 +192,8 @@ func validatePredictRequest(raw *predictRequest) (*PredictRequest, error) {
 		return nil, fmt.Errorf("serve: %d target experiments exceed the per-request cap of %d", len(raw.Target), MaxTargetsPerItem)
 	}
 	req.Target = make([]*telemetry.Experiment, len(raw.Target))
-	for i, doc := range raw.Target {
-		e, err := telemetry.ReadExperiment(bytes.NewReader(doc))
+	for i := range raw.Target {
+		e, err := raw.Target[i].Experiment()
 		if err != nil {
 			return nil, fmt.Errorf("serve: target[%d]: %w", i, err)
 		}
@@ -199,14 +208,9 @@ func validatePredictRequest(raw *predictRequest) (*PredictRequest, error) {
 // decodeBatchRequest decodes /v1/predict/batch: a "requests" array whose
 // items each validate exactly like a single prediction request.
 func decodeBatchRequest(r io.Reader) ([]*PredictRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var raw batchRequest
-	if err := dec.Decode(&raw); err != nil {
-		return nil, decodeErr(err)
-	}
-	if dec.More() {
-		return nil, errors.New("serve: trailing data after batch object")
+	if err := decodeStrict(r, &raw, "batch"); err != nil {
+		return nil, err
 	}
 	if len(raw.Requests) == 0 {
 		return nil, errors.New("serve: batch has no requests")
@@ -215,8 +219,8 @@ func decodeBatchRequest(r io.Reader) ([]*PredictRequest, error) {
 		return nil, fmt.Errorf("serve: %d batch items exceed the cap of %d", len(raw.Requests), MaxBatchItems)
 	}
 	out := make([]*PredictRequest, len(raw.Requests))
-	for i, doc := range raw.Requests {
-		req, err := decodePredictRequest(bytes.NewReader(doc))
+	for i := range raw.Requests {
+		req, err := validatePredictRequest(&raw.Requests[i])
 		if err != nil {
 			return nil, fmt.Errorf("serve: requests[%d]: %w", i, err)
 		}

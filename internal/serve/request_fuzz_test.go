@@ -1,18 +1,28 @@
 package serve
 
 import (
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 
+	"wpred/internal/bench"
+	"wpred/internal/parallel"
 	"wpred/internal/scalemodel"
+	"wpred/internal/simdb"
+	"wpred/internal/telemetry"
 )
 
-// FuzzDecodePredictRequest asserts the /v1/predict decoder is total:
-// arbitrary bytes either produce a fully validated request or an error —
-// never a panic — and every accepted request satisfies the documented
+// FuzzDecodePredictRequest asserts the /v1/predict and /v1/predict/batch
+// decoders are total and that nothing they accept can crash a prediction:
+// arbitrary bytes either produce fully validated requests or an error —
+// never a panic — every accepted request satisfies the documented
 // invariants (resolvable key, in-range SKU, bounded non-empty target
-// list, finite scalars). Seeds live in testdata/fuzz alongside the
-// telemetry decoder's corpus.
+// list, finite scalars), and every accepted request then runs through
+// predictOne on one small server trained once. Its key is overridden with
+// that server's warm key, so no input starts a fit; a recovered panic
+// (*parallel.PanicError) fails the target. Seeds live in testdata/fuzz
+// alongside the telemetry decoder's corpus.
 func FuzzDecodePredictRequest(f *testing.F) {
 	valid := string(fuzzValidRequest(f))
 	f.Add(valid)
@@ -36,42 +46,83 @@ func FuzzDecodePredictRequest(f *testing.F) {
 	f.Add(`{"to_sku":{"cpus":4},"target":[{"resources":{"bogus":[1]}}]}`)         // unknown feature
 	f.Add(strings.Repeat(`[`, 200))
 	f.Add(strings.Repeat(`{"target":`, 50))
+	f.Add(`{"to_sku":{"cpus":4},"target":[{"workload":"W","bogus":1}]}`)         // unknown field inside a target
+	f.Add(`{"to_sku":{"cpus":4},"target":[{"txn_stats":[{"Name":"q","x":1}]}]}`) // unknown field deeper inside
+	f.Add(`{"to_sku":{"cpus":4},"target":[null]}`)                               // null target element
+	f.Add(`{"to_sku":{"cpus":4},"target":["W"]}`)                                // string target element
+	f.Add(`{"requests":[` + valid + `,null]}`)                                   // batch body
+	f.Add(`{"requests":[` + valid + `],"bogus":1}`)                              // batch with an unknown field
+	predictable := string(fuzzPredictableRequest(f))
+	f.Add(predictable)
+	f.Add(`{"requests":[` + predictable + `,` + predictable + `]}`)
 
+	s := newTestServer(f, Config{})
+	if err := s.Warmup(cheapKey()); err != nil {
+		f.Fatal(err)
+	}
+	if req, err := decodePredictRequest(strings.NewReader(predictable)); err != nil {
+		f.Fatal(err)
+	} else if _, code, err := s.predictOne(req); code != http.StatusOK {
+		f.Fatalf("the predictable seed answered %d: %v", code, err)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
+		var accepted []*PredictRequest
 		req, err := decodePredictRequest(strings.NewReader(data))
-		if err != nil {
-			if req != nil {
-				t.Fatal("decoder returned both a request and an error")
-			}
-			return
+		if err == nil {
+			accepted = append(accepted, req)
+		} else if req != nil {
+			t.Fatal("decoder returned both a request and an error")
 		}
-		if _, ok := selectionByName(req.Key.Selection, 0); !ok {
-			t.Fatalf("accepted unknown selection %q", req.Key.Selection)
+		reqs, err := decodeBatchRequest(strings.NewReader(data))
+		if err == nil {
+			accepted = append(accepted, reqs...)
+		} else if reqs != nil {
+			t.Fatal("batch decoder returned both requests and an error")
 		}
-		if _, ok := metricByName(req.Key.Metric); !ok {
-			t.Fatalf("accepted unknown metric %q", req.Key.Metric)
-		}
-		if _, ok := scalemodel.StrategyByName(req.Key.Model); !ok {
-			t.Fatalf("accepted unknown model %q", req.Key.Model)
-		}
-		if req.ToSKU.CPUs < 1 || req.ToSKU.CPUs > maxSKUCPUs {
-			t.Fatalf("accepted out-of-range to_sku.cpus %d", req.ToSKU.CPUs)
-		}
-		if req.ToSKU.MemoryGB < 1 {
-			t.Fatalf("accepted non-positive memory %d", req.ToSKU.MemoryGB)
-		}
-		if len(req.Target) == 0 || len(req.Target) > MaxTargetsPerItem {
-			t.Fatalf("accepted %d targets", len(req.Target))
-		}
-		for i, e := range req.Target {
-			if e == nil {
-				t.Fatalf("accepted nil target %d", i)
-			}
-			if !finite(e.Throughput) || !finite(e.MeanLatMS) {
-				t.Fatalf("accepted non-finite scalars in target %d", i)
+		for _, req := range accepted {
+			checkAccepted(t, req)
+			req.Key = cheapKey()
+			var pe *parallel.PanicError
+			if _, _, err := s.predictOne(req); errors.As(err, &pe) {
+				t.Fatalf("predicting an accepted request panicked: %v\n%s", pe.Value, pe.Stack)
 			}
 		}
 	})
+}
+
+// checkAccepted fails t unless req satisfies every invariant the decoder
+// promises for an accepted request.
+func checkAccepted(t *testing.T, req *PredictRequest) {
+	t.Helper()
+	if req == nil {
+		t.Fatal("decoder accepted a nil request")
+	}
+	if _, ok := selectionByName(req.Key.Selection, 0); !ok {
+		t.Fatalf("accepted unknown selection %q", req.Key.Selection)
+	}
+	if _, ok := metricByName(req.Key.Metric); !ok {
+		t.Fatalf("accepted unknown metric %q", req.Key.Metric)
+	}
+	if _, ok := scalemodel.StrategyByName(req.Key.Model); !ok {
+		t.Fatalf("accepted unknown model %q", req.Key.Model)
+	}
+	if req.ToSKU.CPUs < 1 || req.ToSKU.CPUs > maxSKUCPUs {
+		t.Fatalf("accepted out-of-range to_sku.cpus %d", req.ToSKU.CPUs)
+	}
+	if req.ToSKU.MemoryGB < 1 {
+		t.Fatalf("accepted non-positive memory %d", req.ToSKU.MemoryGB)
+	}
+	if len(req.Target) == 0 || len(req.Target) > MaxTargetsPerItem {
+		t.Fatalf("accepted %d targets", len(req.Target))
+	}
+	for i, e := range req.Target {
+		if e == nil {
+			t.Fatalf("accepted nil target %d", i)
+		}
+		if !finite(e.Throughput) || !finite(e.MeanLatMS) {
+			t.Fatalf("accepted non-finite scalars in target %d", i)
+		}
+	}
 }
 
 // fuzzValidRequest builds a well-formed request body without dragging the
@@ -87,4 +138,19 @@ func fuzzValidRequest(f *testing.F) []byte {
     {"workload": "W", "cpus": 2, "memory_gb": 16, "terminals": 4, "run": 1, "throughput": 100.5, "mean_latency_ms": 9.5}
   ]
 }`)
+}
+
+// fuzzPredictableRequest builds a request the fuzz server answers 200: a
+// short simulated YCSB run on the suite's 2-CPU SKU, predicted to 4 CPUs,
+// so mutations start from a body that reaches every prediction stage.
+func fuzzPredictableRequest(f *testing.F) []byte {
+	f.Helper()
+	ycsb, err := bench.ByName("YCSB")
+	if err != nil {
+		f.Fatal(err)
+	}
+	e := simdb.Simulate(ycsb, simdb.Config{
+		SKU: telemetry.SKU{CPUs: 2, MemoryGB: 16}, Terminals: 4, Ticks: 30, PlanObsPerQuery: 3,
+	}, telemetry.NewSource(42))
+	return marshalPredict(f, []*telemetry.Experiment{e}, 4)
 }

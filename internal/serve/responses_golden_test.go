@@ -103,9 +103,9 @@ func (g *goldenRecorder) send(s *Server, path, label string, body []byte) []byte
 }
 
 // predictReq renders one single-prediction request in wire form.
-func predictReq(t *testing.T, k Key, targets []*telemetry.Experiment, toCPUs int) predictRequest {
+func predictReq(t *testing.T, k Key, targets []*telemetry.Experiment, toCPUs int) predictWire {
 	t.Helper()
-	raw := predictRequest{Selection: k.Selection, Metric: k.Metric, Model: k.Model, ToSKU: skuJSON{CPUs: toCPUs}}
+	raw := predictWire{Selection: k.Selection, Metric: k.Metric, Model: k.Model, ToSKU: skuJSON{CPUs: toCPUs}}
 	for _, e := range targets {
 		var buf bytes.Buffer
 		if err := telemetry.WriteExperiment(&buf, e); err != nil {
@@ -116,7 +116,7 @@ func predictReq(t *testing.T, k Key, targets []*telemetry.Experiment, toCPUs int
 	return raw
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestResponsesGolden(t *testing.T) {
 	singles := map[Key][]triple{}
 	batches := map[Key][]byte{}
 	for _, k := range goldenKeys {
-		var batch batchRequest
+		var batch batchWire
 		for ti, tg := range goldenTargetSets(targets) {
 			for _, to := range goldenToCPUs {
 				body := mustMarshal(t, predictReq(t, k, tg, to))

@@ -37,7 +37,7 @@ var (
 // suite simulates a small reference suite (three benchmarks on 2- and
 // 4-CPU SKUs) and a YCSB target profiled on the 2-CPU SKU, shared across
 // tests — generation is deterministic and the suite is read-only.
-func suite(t *testing.T) (refs, targets []*telemetry.Experiment) {
+func suite(t testing.TB) (refs, targets []*telemetry.Experiment) {
 	t.Helper()
 	refsOnce.Do(func() {
 		skus := []telemetry.SKU{{CPUs: 2, MemoryGB: 16}, {CPUs: 4, MemoryGB: 32}}
@@ -55,7 +55,7 @@ func suite(t *testing.T) (refs, targets []*telemetry.Experiment) {
 	return testRefs, testTgts
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	refs, _ := suite(t)
 	if cfg.Refs == nil {
@@ -67,6 +67,23 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return New(cfg)
 }
 
+// predictWire and batchWire are request bodies as clients build them:
+// target documents and batch items spliced in as pre-serialized JSON, the
+// way wpredbench and wpredload send them. Tests render their bodies with
+// these, so the bytes they send do not depend on what the server decodes
+// into.
+type predictWire struct {
+	Selection string            `json:"selection,omitempty"`
+	Metric    string            `json:"metric,omitempty"`
+	Model     string            `json:"model,omitempty"`
+	ToSKU     skuJSON           `json:"to_sku"`
+	Target    []json.RawMessage `json:"target"`
+}
+
+type batchWire struct {
+	Requests []json.RawMessage `json:"requests"`
+}
+
 // predictBody renders a /v1/predict request for the shared target.
 func predictBody(t *testing.T, toCPUs int) []byte {
 	t.Helper()
@@ -74,9 +91,9 @@ func predictBody(t *testing.T, toCPUs int) []byte {
 	return marshalPredict(t, targets, toCPUs)
 }
 
-func marshalPredict(t *testing.T, targets []*telemetry.Experiment, toCPUs int) []byte {
+func marshalPredict(t testing.TB, targets []*telemetry.Experiment, toCPUs int) []byte {
 	t.Helper()
-	raw := predictRequest{
+	raw := predictWire{
 		Selection: testSelection,
 		Metric:    testMetric,
 		Model:     testModel,
@@ -236,7 +253,7 @@ func TestResponsesByteIdenticalAcrossCacheAndConcurrency(t *testing.T) {
 func TestBatchRoundTripDeterministicAcrossWorkers(t *testing.T) {
 	body := predictBody(t, 4)
 	bad := bytes.Replace(predictBody(t, 4), []byte(`"cpus":4`), []byte(`"cpus":16`), 1)
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{body, bad, body}})
+	batch, err := json.Marshal(batchWire{Requests: []json.RawMessage{body, bad, body}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +330,7 @@ func TestBatchOverCapacityReturns413(t *testing.T) {
 	defer ts.Close()
 
 	body := predictBody(t, 4)
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{body, body, body}})
+	batch, err := json.Marshal(batchWire{Requests: []json.RawMessage{body, body, body}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +384,7 @@ func TestBatchQueueBusyReturns429(t *testing.T) {
 	}()
 	<-admitted // one of two slots held in flight
 
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{body, body}})
+	batch, err := json.Marshal(batchWire{Requests: []json.RawMessage{body, body}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestSnapshotCorruptFileNeverServes(t *testing.T) {
 // keyBody renders the shared /v1/predict request for another registry key.
 func keyBody(t *testing.T, k Key, toCPUs int) []byte {
 	t.Helper()
-	var raw predictRequest
+	var raw predictWire
 	if err := json.Unmarshal(predictBody(t, toCPUs), &raw); err != nil {
 		t.Fatal(err)
 	}

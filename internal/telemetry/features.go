@@ -154,15 +154,22 @@ func PlanFeatures() []Feature {
 	return out
 }
 
+// featuresByName indexes the catalog by name. Decoding a target document
+// resolves every resource and plan statistic name through it, a few
+// thousand lookups per document.
+var featuresByName = func() map[string]Feature {
+	m := make(map[string]Feature, NumFeatures)
+	for i, n := range featureNames {
+		m[n] = Feature(i)
+	}
+	return m
+}()
+
 // FeatureByName resolves a feature by its paper name. The second return
 // value reports whether the name was found.
 func FeatureByName(name string) (Feature, bool) {
-	for i, n := range featureNames {
-		if n == name {
-			return Feature(i), true
-		}
-	}
-	return 0, false
+	f, ok := featuresByName[name]
+	return f, ok
 }
 
 // FeatureNames maps a feature slice to its display names.

@@ -1,16 +1,18 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// jsonExperiment is the stable on-disk representation of an Experiment.
-// Feature values are keyed by their Table 2 names, so files remain
-// readable if the catalog order ever changes.
-type jsonExperiment struct {
+// ExperimentJSON is the stable on-disk and wire representation of an
+// Experiment. Feature values are keyed by their Table 2 names, so files
+// remain readable if the catalog order ever changes. Decoders that hold
+// experiments inside a larger document (wpredd's request bodies) decode
+// into it directly and convert with Experiment, in the same pass.
+type ExperimentJSON struct {
 	Workload   string  `json:"workload"`
 	CPUs       int     `json:"cpus"`
 	MemoryGB   int     `json:"memory_gb"`
@@ -22,18 +24,19 @@ type jsonExperiment struct {
 
 	Resources        map[string][]float64 `json:"resources,omitempty"`
 	ThroughputSeries []float64            `json:"throughput_series,omitempty"`
-	Plans            []jsonPlanObs        `json:"plans,omitempty"`
+	Plans            []PlanJSON           `json:"plans,omitempty"`
 	TxnStats         []TxnMetrics         `json:"txn_stats,omitempty"`
 }
 
-type jsonPlanObs struct {
+// PlanJSON is the representation of one PlanObservation.
+type PlanJSON struct {
 	Query string             `json:"query"`
 	Stats map[string]float64 `json:"stats"`
 }
 
 // WriteExperiment serializes one experiment as JSON.
 func WriteExperiment(w io.Writer, e *Experiment) error {
-	je := jsonExperiment{
+	je := ExperimentJSON{
 		Workload:         e.Workload,
 		CPUs:             e.SKU.CPUs,
 		MemoryGB:         e.SKU.MemoryGB,
@@ -52,7 +55,7 @@ func WriteExperiment(w io.Writer, e *Experiment) error {
 		}
 	}
 	for _, p := range e.Plans {
-		jp := jsonPlanObs{Query: p.Query, Stats: map[string]float64{}}
+		jp := PlanJSON{Query: p.Query, Stats: map[string]float64{}}
 		for _, f := range PlanFeatures() {
 			jp.Stats[f.String()] = p.Value(f)
 		}
@@ -63,15 +66,14 @@ func WriteExperiment(w io.Writer, e *Experiment) error {
 	return enc.Encode(je)
 }
 
-// ReadExperiment parses one experiment from JSON. Unknown feature names
-// are rejected rather than silently dropped, so telemetry produced by a
-// newer catalog fails loudly.
-func ReadExperiment(r io.Reader) (*Experiment, error) {
-	var je jsonExperiment
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&je); err != nil {
-		return nil, fmt.Errorf("telemetry: decode experiment: %w", err)
-	}
+// Experiment converts a decoded document into an Experiment and validates
+// it. Unknown feature names are rejected rather than silently dropped, so
+// telemetry produced by a newer catalog fails loudly, and a document with
+// resource series must carry all seven with one tick count. The checks run
+// in a fixed order (unknown names alphabetically, then the series count,
+// then tick counts in catalog order), so a document with several faults
+// always reports the same one. The Experiment shares je's slices.
+func (je *ExperimentJSON) Experiment() (*Experiment, error) {
 	e := &Experiment{
 		Workload:         je.Workload,
 		SKU:              SKU{CPUs: je.CPUs, MemoryGB: je.MemoryGB},
@@ -83,35 +85,63 @@ func ReadExperiment(r io.Reader) (*Experiment, error) {
 		ThroughputSeries: je.ThroughputSeries,
 		TxnStats:         je.TxnStats,
 	}
-	var ticks int
+	var unknown []string
 	for name, series := range je.Resources {
-		f, ok := FeatureByName(name)
-		if !ok || f.Kind() != Resource {
-			return nil, fmt.Errorf("telemetry: unknown resource feature %q", name)
-		}
-		e.Resources.Samples[int(f)] = series
-		if ticks == 0 {
-			ticks = len(series)
-		} else if len(series) != ticks {
-			return nil, fmt.Errorf("telemetry: resource feature %q has %d ticks, want %d", name, len(series), ticks)
+		if f, ok := FeatureByName(name); ok && f.Kind() == Resource {
+			e.Resources.Samples[f] = series
+		} else {
+			unknown = append(unknown, name)
 		}
 	}
-	if len(je.Resources) > 0 && len(je.Resources) != NumResourceFeatures {
-		return nil, fmt.Errorf("telemetry: experiment has %d resource series, want %d", len(je.Resources), NumResourceFeatures)
+	if err := unknownFeature(Resource, unknown); err != nil {
+		return nil, err
+	}
+	if n := len(je.Resources); n > 0 && n != NumResourceFeatures {
+		return nil, fmt.Errorf("telemetry: experiment has %d resource series, want %d", n, NumResourceFeatures)
+	}
+	ticks := e.Resources.Len()
+	for f, series := range e.Resources.Samples {
+		if len(series) != ticks {
+			return nil, fmt.Errorf("telemetry: resource feature %q has %d ticks, want %d", Feature(f), len(series), ticks)
+		}
 	}
 	for _, jp := range je.Plans {
 		var p PlanObservation
 		p.Query = jp.Query
 		for name, v := range jp.Stats {
-			f, ok := FeatureByName(name)
-			if !ok || f.Kind() != Plan {
-				return nil, fmt.Errorf("telemetry: unknown plan feature %q", name)
+			if f, ok := FeatureByName(name); ok && f.Kind() == Plan {
+				p.Stats[int(f)-NumResourceFeatures] = v
+			} else {
+				unknown = append(unknown, name)
 			}
-			p.Stats[int(f)-NumResourceFeatures] = v
+		}
+		if err := unknownFeature(Plan, unknown); err != nil {
+			return nil, err
 		}
 		e.Plans = append(e.Plans, p)
 	}
 	return e, nil
+}
+
+// unknownFeature reports the alphabetically first of the names a document
+// used that are not catalog features of kind k, or nil when there are
+// none. Picking by name, not by map order, keeps the report the same for
+// identical documents.
+func unknownFeature(k Kind, names []string) error {
+	if len(names) == 0 {
+		return nil
+	}
+	return fmt.Errorf("telemetry: unknown %s feature %q", k, slices.Min(names))
+}
+
+// ReadExperiment parses one experiment from JSON; see
+// (*ExperimentJSON).Experiment for what it validates.
+func ReadExperiment(r io.Reader) (*Experiment, error) {
+	var je ExperimentJSON
+	if err := json.NewDecoder(r).Decode(&je); err != nil {
+		return nil, fmt.Errorf("telemetry: decode experiment: %w", err)
+	}
+	return je.Experiment()
 }
 
 // WriteExperiments serializes a list of experiments as a JSON array
@@ -125,23 +155,19 @@ func WriteExperiments(w io.Writer, exps []*Experiment) error {
 	return nil
 }
 
-// ReadExperiments parses a stream of experiment documents until EOF.
+// ReadExperiments parses a stream of experiment documents until EOF,
+// validating each like ReadExperiment.
 func ReadExperiments(r io.Reader) ([]*Experiment, error) {
 	dec := json.NewDecoder(r)
 	var out []*Experiment
 	for {
-		var je jsonExperiment
+		var je ExperimentJSON
 		if err := dec.Decode(&je); err == io.EOF {
 			return out, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("telemetry: decode experiment %d: %w", len(out), err)
 		}
-		// Round-trip through the single-document reader for validation.
-		buf, err := json.Marshal(je)
-		if err != nil {
-			return nil, err
-		}
-		e, err := ReadExperiment(bytes.NewReader(buf))
+		e, err := je.Experiment()
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: experiment %d: %w", len(out), err)
 		}
