@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fmt-check verify fuzz serve-test chaos-test drift-test experiments bench bench-check slo-check
+.PHONY: build test vet race fmt-check driver-check verify fuzz serve-test chaos-test drift-test experiments bench bench-check slo-check
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,18 @@ fmt-check:
 	unformatted=$$(gofmt -l $$files); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
+# driver-check vets and tests the benchmark driver. wpredbench is a module
+# of its own, so the build and vet steps above never compile it; an API
+# change that breaks the driver fails here instead of in a benchmark run.
+driver-check:
+	cd wpredbench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the tier-1 gate (see ROADMAP.md): every change must pass it.
-# It starts with the gofmt check. The race step also stress-tests
+# It starts with the gofmt check and compiles the benchmark driver. The race step also stress-tests
 # internal/parallel under contention (TestStressContention) and runs the
 # -j determinism tests, so data races in the worker pool and the suite's
 # shared caches are exercised here.
-verify: fmt-check build vet race
+verify: fmt-check build vet driver-check race
 
 # fuzz runs the telemetry decoder, wpredd request decoder (every accepted
 # request is also predicted) and VP-tree query fuzzers for short bursts

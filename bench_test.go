@@ -207,8 +207,8 @@ func BenchmarkPipelinePredict(b *testing.B) {
 		}
 	}
 	refExps := GenerateSuite(refs, []SKU{small, large}, []int{8}, 3, src)
-	p := NewPipeline(PipelineConfig{Seed: 5, Subsamples: 5})
-	if err := p.Train(refExps); err != nil {
+	p, err := TrainPipeline(PipelineConfig{Seed: 5, Subsamples: 5}, refExps)
+	if err != nil {
 		b.Fatal(err)
 	}
 	ycsb, _ := WorkloadByName("YCSB")
@@ -216,7 +216,7 @@ func BenchmarkPipelinePredict(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Predict(target, large); err != nil {
+		if _, _, err := p.PredictWithReport(target, large); err != nil {
 			b.Fatal(err)
 		}
 	}

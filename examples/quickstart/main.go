@@ -29,8 +29,8 @@ func main() {
 	// 2. Train the pipeline: feature selection over the reference
 	// telemetry; the references also serve as the similarity knowledge
 	// base and the source of scaling models.
-	pipeline := wpred.NewPipeline(wpred.PipelineConfig{Seed: 42})
-	if err := pipeline.Train(refExps); err != nil {
+	pipeline, err := wpred.TrainPipeline(wpred.PipelineConfig{Seed: 42}, refExps)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("selected features:", pipeline.SelectedFeatures())
@@ -43,7 +43,7 @@ func main() {
 	measured := wpred.GenerateSuite([]*wpred.Workload{ycsb}, []wpred.SKU{small}, []int{8}, 3, src)
 
 	// 4. Predict its throughput on the large SKU.
-	pred, err := pipeline.Predict(measured, large)
+	pred, _, err := pipeline.PredictWithReport(measured, large)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,18 +52,18 @@ func main() {
 		roof.SlopePerCPU, roof.Ceiling, roof.Knee())
 
 	predict := func(clamp bool) float64 {
-		p := wpred.NewPipeline(wpred.PipelineConfig{
+		p, err := wpred.TrainPipeline(wpred.PipelineConfig{
 			Seed:          7,
 			Strategy:      wpred.Regression, // linear: extrapolates past the knee
 			Context:       wpred.Single,
 			RooflineClamp: clamp,
-		})
-		if err := p.Train(refs); err != nil {
+		}, refs)
+		if err != nil {
 			log.Fatal(err)
 		}
 		tw2, _ := wpred.WorkloadByName("Twitter")
 		target := wpred.GenerateSuite([]*wpred.Workload{tw2}, []wpred.SKU{skus[0]}, []int{8}, 1, src)
-		pred, err := p.Predict(target, skus[3])
+		pred, _, err := p.PredictWithReport(target, skus[3])
 		if err != nil {
 			log.Fatal(err)
 		}

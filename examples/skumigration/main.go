@@ -32,12 +32,12 @@ func main() {
 	}
 	refExps := wpred.GenerateSuite(refs, []wpred.SKU{s1, s2}, []int{8}, 3, src)
 
-	pipeline := wpred.NewPipeline(wpred.PipelineConfig{
+	pipeline, err := wpred.TrainPipeline(wpred.PipelineConfig{
 		Strategy: wpred.SVM,      // pairwise SVM: the paper's recommendation
 		Context:  wpred.Pairwise, // §6.3: model transitions, not the whole curve
 		Seed:     7,
-	})
-	if err := pipeline.Train(refExps); err != nil {
+	}, refExps)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -48,15 +48,15 @@ func main() {
 	}
 	measured := wpred.GenerateSuite([]*wpred.Workload{ycsb}, []wpred.SKU{s1}, []int{8}, 3, src)
 
-	pred, err := pipeline.Predict(measured, s2)
+	pred, _, err := pipeline.PredictWithReport(measured, s2)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("=== migration check: S1 (4 CPU / 32 GB) → S2 (8 CPU / 64 GB) ===")
 	fmt.Printf("nearest reference:  %s\n", pred.NearestReference)
-	for name, d := range pred.Distances {
-		fmt.Printf("  distance to %-8s %.3f\n", name, d)
+	for _, d := range pred.Distances {
+		fmt.Printf("  distance to %-8s %.3f\n", d.Workload, d.Distance)
 	}
 	fmt.Printf("observed  @S1: %8.1f req/s\n", pred.ObservedThroughput)
 	fmt.Printf("predicted @S2: %8.1f req/s  (95%% interval %.0f – %.0f)\n",

@@ -127,7 +127,6 @@ type node struct {
 // query from any number of goroutines (one QueryBuffer per goroutine).
 type Index struct {
 	metric distance.Metric
-	seed   uint64
 	tau    float64
 	exact  bool
 
@@ -180,7 +179,6 @@ func Build(items []Item, m distance.Metric, cfg Config) (*Index, error) {
 	}
 	ix := &Index{
 		metric: m,
-		seed:   cfg.Seed,
 		tau:    cfg.Tau,
 		exact:  metricSpace(m.Name()),
 		items:  items,

@@ -1,10 +1,10 @@
 package ann
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -249,8 +249,8 @@ func TestRangeExactMode(t *testing.T) {
 	}
 }
 
-// TestBuildDeterminism: same items, metric, and seed produce byte-identical
-// encodings and identical query answers; a different seed may shape the
+// TestBuildDeterminism: same items, metric, and seed produce identical
+// trees and identical query answers; a different seed may shape the
 // tree differently but exact-mode answers stay equal.
 func TestBuildDeterminism(t *testing.T) {
 	items := testLibrary(64, 8, 3, 0)
@@ -263,15 +263,8 @@ func TestBuildDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b1, b2 bytes.Buffer
-	if err := ix1.Encode(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix2.Encode(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("same build inputs produced different encodings")
+	if ix1.root != ix2.root || !reflect.DeepEqual(ix1.nodes, ix2.nodes) || !reflect.DeepEqual(ix1.items, ix2.items) {
+		t.Fatal("same build inputs produced different trees")
 	}
 	ix3, err := Build(items, m, Config{Seed: 10})
 	if err != nil {
@@ -288,95 +281,6 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 	if !sameResults(r1, r3) {
 		t.Fatal("exact-mode answers depend on the build seed")
-	}
-}
-
-// TestCodecRoundTrip: Encode → Decode reproduces an index whose answers
-// and re-encoding are identical, for both a metric norm and DTW (whose
-// envelopes are rebuilt on decode).
-func TestCodecRoundTrip(t *testing.T) {
-	cases := []struct {
-		name string
-		m    distance.Metric
-	}{
-		{"L21", distance.L21{}},
-		{"DTW", distance.DTW{Dependent: true, Window: 8}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			items := testLibrary(40, 9, 3, 0)
-			ix, err := Build(items, tc.m, Config{Seed: 5, Tau: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := ix.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			encoded := append([]byte(nil), buf.Bytes()...)
-			back, err := Decode(&buf, tc.m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := testFP(9, 3, 123, 0)
-			r1, s1, err := ix.KNN(q, 6, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, s2, err := back.KNN(q, 6, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameResults(r1, r2) || s1 != s2 {
-				t.Fatalf("decoded index answers differ: %v/%+v vs %v/%+v", r1, s1, r2, s2)
-			}
-			var again bytes.Buffer
-			if err := back.Encode(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(encoded, again.Bytes()) {
-				t.Fatal("re-encoding a decoded index is not byte-identical")
-			}
-		})
-	}
-}
-
-// TestDecodeRejectsDamage drives the structural validation: every kind of
-// damage must surface as a typed sentinel, never a panic or a wrong tree.
-func TestDecodeRejectsDamage(t *testing.T) {
-	items := testLibrary(12, 6, 2, 0)
-	m := distance.L21{}
-	ix, err := Build(items, m, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	corrupt := func(mut func([]byte) []byte) error {
-		_, err := Decode(bytes.NewReader(mut(append([]byte(nil), good...))), m)
-		return err
-	}
-	if err := corrupt(func(b []byte) []byte { return b[:len(b)/2] }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated: %v", err)
-	}
-	if err := corrupt(func(b []byte) []byte { b[len(b)-3] ^= 1; return b }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit flip: %v", err)
-	}
-	if err := corrupt(func(b []byte) []byte { return bytes.Replace(b, []byte("wpredann"), []byte("wpredsnp"), 1) }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	if err := corrupt(func(b []byte) []byte { return bytes.Replace(b, []byte(" v1 "), []byte(" v9 "), 1) }); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version: %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(good), distance.L11{}); !errors.Is(err, ErrMetricMismatch) {
-		t.Fatalf("metric mismatch: %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(nil), m); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("empty input: %v", err)
 	}
 }
 
@@ -400,13 +304,6 @@ func TestEdgeIndexes(t *testing.T) {
 	res, _, err = one.KNN(q, 5, nil)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("single-item index: %v %v", res, err)
-	}
-	var buf bytes.Buffer
-	if err := empty.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if back, err := Decode(&buf, m); err != nil || back.Len() != 0 {
-		t.Fatalf("empty round trip: %v %v", back, err)
 	}
 }
 

@@ -6,27 +6,31 @@ import (
 )
 
 // Sentinel errors for every failure class of the pipeline. All errors
-// returned by Train and Predict wrap one of these, so callers can branch
-// with errors.Is regardless of the contextual detail in the message.
+// returned by Train and PredictWithReport wrap one of these, so callers can
+// branch with errors.Is regardless of the contextual detail in the
+// message.
 var (
-	// ErrNotTrained is returned by Predict before a successful Train.
+	// ErrNotTrained is returned by PredictWithReport and State on a zero
+	// Pipeline, which neither Train nor Restore built.
 	ErrNotTrained = errors.New("core: pipeline is not trained")
-	// ErrNoReferences is returned by Train on an empty reference set.
+	// ErrNoReferences is returned by Train and Restore on a reference
+	// suite with no experiments.
 	ErrNoReferences = errors.New("core: no reference experiments")
-	// ErrNoTargets is returned by Predict on an empty target set.
+	// ErrNoTargets is returned by PredictWithReport on an empty target set.
 	ErrNoTargets = errors.New("core: no target experiments")
-	// ErrMixedSKUs is returned by Predict when the usable target
+	// ErrMixedSKUs is returned by PredictWithReport when the usable target
 	// experiments span more than one SKU.
 	ErrMixedSKUs = errors.New("core: target experiments span multiple SKUs")
-	// ErrTooFewReferences is returned by Train when sanitization leaves
-	// fewer than Config.MinValidRefs usable reference experiments.
+	// ErrTooFewReferences is returned by Train and Restore when
+	// sanitization left fewer than Config.MinValidRefs usable reference
+	// experiments.
 	ErrTooFewReferences = errors.New("core: too few valid reference experiments")
-	// ErrNoUsableTargets is returned by Predict when sanitization rejects
-	// every target experiment.
+	// ErrNoUsableTargets is returned by PredictWithReport when
+	// sanitization rejects every target experiment.
 	ErrNoUsableTargets = errors.New("core: no usable target experiments")
-	// ErrNoScalingReference is returned by Predict when no reference
-	// workload — nearest or fallback — can supply a scaling dataset for
-	// the requested SKU pair.
+	// ErrNoScalingReference is returned by PredictWithReport when no
+	// reference workload — nearest or fallback — can supply a scaling
+	// dataset for the requested SKU pair.
 	ErrNoScalingReference = errors.New("core: no reference workload with usable scaling data")
 	// ErrCorrupt is returned by Restore when a state's recorded train-stage
 	// drops differ from those of the references it is restored onto: the

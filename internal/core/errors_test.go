@@ -20,8 +20,10 @@ func wreck(e *telemetry.Experiment) *telemetry.Experiment {
 }
 
 func TestTrainSentinelErrors(t *testing.T) {
-	p := New(Config{})
-	if err := p.Train(nil); !errors.Is(err, ErrNoReferences) {
+	if _, err := TrainPipeline(Config{}, nil); !errors.Is(err, ErrNoReferences) {
+		t.Fatalf("TrainPipeline(nil) = %v, want ErrNoReferences", err)
+	}
+	if _, err := Train(Config{}, nil); !errors.Is(err, ErrNoReferences) {
 		t.Fatalf("Train(nil) = %v, want ErrNoReferences", err)
 	}
 
@@ -33,7 +35,7 @@ func TestTrainSentinelErrors(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		refs = append(refs, wreck(simulateQuick(w, sku, 8, r, src)))
 	}
-	err := p.Train(refs)
+	_, err := TrainPipeline(Config{}, refs)
 	if !errors.Is(err, ErrTooFewReferences) {
 		t.Fatalf("Train(all wrecked) = %v, want ErrTooFewReferences", err)
 	}
@@ -55,13 +57,12 @@ func TestTrainSentinelErrors(t *testing.T) {
 }
 
 func TestPredictSentinelErrors(t *testing.T) {
-	p := New(Config{})
-	if _, err := p.Predict(nil, telemetry.SKU{CPUs: 8}); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("untrained Predict = %v, want ErrNotTrained", err)
+	if _, _, err := new(Pipeline).PredictWithReport(nil, telemetry.SKU{CPUs: 8}); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("zero Pipeline predict = %v, want ErrNotTrained", err)
 	}
 
 	p2, _, small, large := trainedPipeline(t)
-	if _, err := p2.Predict(nil, large); !errors.Is(err, ErrNoTargets) {
+	if _, _, err := p2.PredictWithReport(nil, large); !errors.Is(err, ErrNoTargets) {
 		t.Fatalf("empty target = %v, want ErrNoTargets", err)
 	}
 
@@ -71,12 +72,12 @@ func TestPredictSentinelErrors(t *testing.T) {
 		simulateQuick(ycsb, small, 8, 0, src),
 		simulateQuick(ycsb, large, 8, 0, src),
 	}
-	if _, err := p2.Predict(mixed, large); !errors.Is(err, ErrMixedSKUs) {
+	if _, _, err := p2.PredictWithReport(mixed, large); !errors.Is(err, ErrMixedSKUs) {
 		t.Fatalf("mixed-SKU target = %v, want ErrMixedSKUs", err)
 	}
 
 	bad := []*telemetry.Experiment{wreck(simulateQuick(ycsb, small, 8, 0, src))}
-	if _, err := p2.Predict(bad, large); !errors.Is(err, ErrNoUsableTargets) {
+	if _, _, err := p2.PredictWithReport(bad, large); !errors.Is(err, ErrNoUsableTargets) {
 		t.Fatalf("all-wrecked target = %v, want ErrNoUsableTargets", err)
 	}
 }
@@ -97,8 +98,8 @@ func TestTrainDropsUnusableReferences(t *testing.T) {
 	wrecked := wreck(refs[0].Clone())
 	refs = append(refs, wrecked)
 
-	p := New(Config{Seed: 23, Subsamples: 5})
-	if err := p.Train(refs); err != nil {
+	p, err := TrainPipeline(Config{Seed: 23, Subsamples: 5}, refs)
+	if err != nil {
 		t.Fatalf("Train must survive one bad reference: %v", err)
 	}
 	dropped := p.Dropped()
@@ -117,19 +118,21 @@ func TestTrainDropsUnusableReferences(t *testing.T) {
 		simulateQuick(ycsb, small, 8, 0, src),
 		wreck(simulateQuick(ycsb, small, 8, 1, src)),
 	}
-	pred, err := p.Predict(target, large)
+	pred, predDropped, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatalf("Predict must survive one bad target: %v", err)
 	}
 	if pred.PredictedThroughput <= 0 {
 		t.Fatalf("degraded prediction %v", pred.PredictedThroughput)
 	}
-	dropped = p.Dropped()
-	if len(dropped) != 2 {
-		t.Fatalf("Dropped() has %d entries after Predict, want 2", len(dropped))
+	if len(predDropped) != 1 {
+		t.Fatalf("PredictWithReport dropped %d targets, want 1", len(predDropped))
 	}
-	if dropped[1].Stage != "predict" || dropped[1].Workload != bench.YCSBName {
-		t.Fatalf("predict-stage entry %+v malformed", dropped[1])
+	if predDropped[0].Stage != "predict" || predDropped[0].Workload != bench.YCSBName {
+		t.Fatalf("predict-stage entry %+v malformed", predDropped[0])
+	}
+	if n := len(p.Dropped()); n != 1 {
+		t.Fatalf("Dropped() has %d entries after a prediction, want the 1 train drop", n)
 	}
 }
 
@@ -157,13 +160,13 @@ func TestPredictFallsBackToUsableReference(t *testing.T) {
 			}
 		}
 	}
-	p := New(Config{Seed: 24, Subsamples: 5})
-	if err := p.Train(refs); err != nil {
+	p, err := TrainPipeline(Config{Seed: 24, Subsamples: 5}, refs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ycsb, _ := bench.ByName(bench.YCSBName)
 	target := []*telemetry.Experiment{simulateQuick(ycsb, small, 8, 0, src)}
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatalf("fallback must find the scalable reference: %v", err)
 	}
@@ -178,11 +181,11 @@ func TestPredictFallsBackToUsableReference(t *testing.T) {
 			smallOnly = append(smallOnly, e)
 		}
 	}
-	p2 := New(Config{Seed: 24, Subsamples: 5})
-	if err := p2.Train(smallOnly); err != nil {
+	p2, err := TrainPipeline(Config{Seed: 24, Subsamples: 5}, smallOnly)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Predict(target, large); !errors.Is(err, ErrNoScalingReference) {
+	if _, _, err := p2.PredictWithReport(target, large); !errors.Is(err, ErrNoScalingReference) {
 		t.Fatalf("unscalable references = %v, want ErrNoScalingReference", err)
 	}
 }

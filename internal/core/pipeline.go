@@ -24,11 +24,12 @@ import (
 )
 
 // Pipeline telemetry (see "Observability" in DESIGN.md): per-stage
-// wall-clock histograms for Train (sanitize, featsel) and Predict
-// (sanitize, similarity, scalemodel), dropped-experiment counters fed by
-// the fault layer's sanitization rejections, and run counters by outcome.
-// The matching tracing spans are pipeline.train / pipeline.predict with
-// one child span per stage.
+// wall-clock histograms for training (sanitize, once per suite in
+// SanitizeReferences; featsel, once per Train) and Predict (sanitize,
+// similarity, scalemodel), dropped-experiment counters fed by the fault
+// layer's sanitization rejections, and run counters by outcome. The
+// matching tracing spans are pipeline.sanitize, and pipeline.train /
+// pipeline.predict with one child span per stage.
 func stageSeconds(op, stage string) *obs.Histogram {
 	return obs.GetHistogram("wpred_pipeline_stage_duration_seconds",
 		"Wall-clock duration of pipeline stages, by operation and stage.",
@@ -155,25 +156,51 @@ type DroppedExperiment struct {
 	Report *telemetry.CorruptionReport
 }
 
-// Pipeline is the trained end-to-end predictor.
+// References is a reference suite sanitized under one policy: exactly the
+// experiments a pipeline learns from, and the ones sanitization dropped.
+// It is read-only once built, so every pipeline trained on or restored
+// onto it shares its experiments instead of holding a copy.
+type References struct {
+	policy  telemetry.SanitizePolicy
+	kept    []*telemetry.Experiment
+	dropped []DroppedExperiment
+}
+
+// SanitizeReferences sanitizes a reference suite under policy. Build it
+// once per suite and train or restore any number of pipelines on it; the
+// train-stage sanitize histogram and dropped counter observe this call,
+// not each pipeline built on its result.
+func SanitizeReferences(refs []*telemetry.Experiment, policy telemetry.SanitizePolicy) *References {
+	sp := obs.StartSpan("pipeline.sanitize")
+	sp.SetAttr("refs", strconv.Itoa(len(refs)))
+	r := &References{policy: policy}
+	r.kept = sanitize(refs, policy, "train", &r.dropped)
+	sp.SetAttr("dropped", strconv.Itoa(len(r.dropped)))
+	trainSanitizeSeconds.ObserveDuration(sp.End())
+	return r
+}
+
+// Pipeline is the trained end-to-end predictor. Train and Restore are its
+// only constructors, and it never changes once built: its references,
+// selected features and configuration are fixed, and its two caches only
+// memoize what those determine. Any number of goroutines may call
+// PredictWithReport on one pipeline concurrently.
 type Pipeline struct {
 	cfg      Config
-	refs     []*telemetry.Experiment
+	refs     *References
 	selected []telemetry.Feature
-	dropped  []DroppedExperiment
-	classOf  map[string]string // workload → class name (for NDCG-style reporting)
 
 	// indexes caches one fitted builder + reference index per
 	// (SKU, plan-only) similarity context, built lazily on the first
 	// Predict that crosses IndexThreshold and reused by every subsequent
-	// lookup (Fit-once/Query-many). Guarded by idxMu; reset on Train.
+	// lookup (Fit-once/Query-many). Guarded by idxMu.
 	idxMu   sync.Mutex
 	indexes map[string]*refIndex
 
 	// memo caches the scaling stage per (nearest reference, from SKU, to
 	// SKU): the fitted factor and interval, filled lazily and single-flight
 	// by the first Predict that needs them (see stageFor). Guarded by
-	// memoMu; reset on Train, never persisted.
+	// memoMu; never persisted.
 	memoMu sync.Mutex
 	memo   map[scaleKey]*memoEntry
 }
@@ -186,39 +213,103 @@ type refIndex struct {
 	ri      *simeval.ReferenceIndex
 }
 
-// New returns an untrained pipeline with the given configuration.
-func New(cfg Config) *Pipeline {
-	return &Pipeline{cfg: cfg.withDefaults()}
+// TrainPipeline sanitizes refs under cfg's policy and trains a pipeline on
+// them. Callers that build several pipelines on one suite sanitize it once
+// with SanitizeReferences and call Train instead.
+func TrainPipeline(cfg Config, refs []*telemetry.Experiment) (*Pipeline, error) {
+	return Train(cfg, SanitizeReferences(refs, cfg.Sanitize))
 }
 
-// TrainPipeline constructs and trains a pipeline in one step — the entry
-// point for callers that hold a reference suite and want a ready predictor
-// (the wpredd model registry fits every cache entry through it). The
-// returned pipeline is safe for concurrent PredictWithReport calls.
-func TrainPipeline(cfg Config, refs []*telemetry.Experiment) (*Pipeline, error) {
-	p := New(cfg)
-	if err := p.Train(refs); err != nil {
+// Train runs feature selection over the usable experiments of refs, which
+// must have been sanitized under cfg's policy, and returns a pipeline that
+// predicts from them. It fails with ErrNoReferences on a suite with no
+// experiments and with an *InsufficientReferencesError when fewer than
+// Config.MinValidRefs survived sanitization.
+func Train(cfg Config, refs *References) (*Pipeline, error) {
+	sp := obs.StartSpan("pipeline.train")
+	defer sp.End()
+	p, err := newPipeline(cfg, refs)
+	if err == nil {
+		sp.SetAttr("refs", strconv.Itoa(len(refs.kept)))
+		p.selected, err = p.selectFeatures(sp)
+	}
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		trainErr.Inc()
 		return nil, err
 	}
+	sp.SetAttr("selected", strconv.Itoa(len(p.selected)))
+	trainOK.Inc()
 	return p, nil
 }
 
-// SelectedFeatures returns the features chosen during Train (nil before).
+// newPipeline is the constructor Train and Restore share: it checks that
+// refs can back a pipeline under cfg and returns one with no features
+// selected yet.
+func newPipeline(cfg Config, refs *References) (*Pipeline, error) {
+	cfg = cfg.withDefaults()
+	if refs == nil || len(refs.kept)+len(refs.dropped) == 0 {
+		return nil, ErrNoReferences
+	}
+	if refs.policy != cfg.Sanitize {
+		return nil, errors.New("core: references were sanitized under another policy")
+	}
+	if len(refs.kept) < cfg.MinValidRefs {
+		return nil, &InsufficientReferencesError{
+			Usable: len(refs.kept), Total: len(refs.kept) + len(refs.dropped), Min: cfg.MinValidRefs,
+			Dropped: append([]DroppedExperiment(nil), refs.dropped...),
+		}
+	}
+	return &Pipeline{cfg: cfg, refs: refs}, nil
+}
+
+// selectFeatures runs the selection strategy over systematic samples of
+// the references and returns the top-K features.
+func (p *Pipeline) selectFeatures(sp *obs.Span) ([]telemetry.Feature, error) {
+	fsp := sp.Child("featsel")
+	defer func() { trainFeatselSeconds.ObserveDuration(fsp.End()) }()
+	// One sub-experiment row per systematic sample, labeled by workload.
+	var subs []*telemetry.Experiment
+	for _, e := range p.refs.kept {
+		subs = append(subs, e.SystematicSample(p.cfg.Subsamples)...)
+	}
+	ds := telemetry.BuildDataset(subs, nil)
+	ds.MinMaxNormalize()
+	res, err := p.cfg.Selection.Evaluate(ds.X, ds.Labels)
+	if err != nil {
+		return nil, fmt.Errorf("core: feature selection: %w", err)
+	}
+	cols := res.TopK(p.cfg.TopK)
+	selected := make([]telemetry.Feature, len(cols))
+	for i, c := range cols {
+		selected[i] = ds.Features[c]
+	}
+	return selected, nil
+}
+
+// References returns the sanitized suite the pipeline was built on,
+// shared with every other pipeline built on it.
+func (p *Pipeline) References() *References { return p.refs }
+
+// SelectedFeatures returns the features chosen by Train.
 func (p *Pipeline) SelectedFeatures() []telemetry.Feature {
 	return append([]telemetry.Feature(nil), p.selected...)
 }
 
-// Dropped returns every experiment rejected since the last Train — the
-// degradation accounting for both training references and prediction
-// targets. The slice resets on Train and grows on each Predict.
+// Dropped returns the reference experiments sanitization rejected from the
+// pipeline's suite, in suite order. It is fixed when the pipeline is
+// built; PredictWithReport returns each call's rejected targets instead.
 func (p *Pipeline) Dropped() []DroppedExperiment {
-	return append([]DroppedExperiment(nil), p.dropped...)
+	if p.refs == nil {
+		return nil
+	}
+	return append([]DroppedExperiment(nil), p.refs.dropped...)
 }
 
 // sanitize runs the corruption pass over a batch under policy, recording
 // rejections under the given stage into dst, and returns the usable
 // sanitized experiments. The collector is caller-owned so concurrent
-// Predict calls never append to shared pipeline state.
+// predictions never append to shared pipeline state.
 func sanitize(exps []*telemetry.Experiment, policy telemetry.SanitizePolicy, stage string, dst *[]DroppedExperiment) []*telemetry.Experiment {
 	kept := make([]*telemetry.Experiment, 0, len(exps))
 	for _, e := range exps {
@@ -239,78 +330,22 @@ func sanitize(exps []*telemetry.Experiment, policy telemetry.SanitizePolicy, sta
 	return kept
 }
 
-// Train sanitizes the reference experiments, drops unusable ones (see
-// Dropped), runs feature selection over the survivors, and retains them as
-// the similarity/scaling knowledge base. References should cover each
-// workload on every SKU of interest with matching runs. Train fails with
-// ErrTooFewReferences only when fewer than Config.MinValidRefs references
-// survive sanitization.
-func (p *Pipeline) Train(refs []*telemetry.Experiment) error {
-	sp := obs.StartSpan("pipeline.train")
-	sp.SetAttr("refs", strconv.Itoa(len(refs)))
-	err := p.train(refs, sp)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		trainErr.Inc()
-	} else {
-		sp.SetAttr("selected", strconv.Itoa(len(p.selected)))
-		trainOK.Inc()
-	}
-	sp.End()
-	return err
-}
-
-func (p *Pipeline) train(refs []*telemetry.Experiment, sp *obs.Span) error {
-	if len(refs) == 0 {
-		return ErrNoReferences
-	}
-	p.dropped = nil
-	ssp := sp.Child("sanitize")
-	kept := sanitize(refs, p.cfg.Sanitize, "train", &p.dropped)
-	ssp.SetAttr("dropped", strconv.Itoa(len(p.dropped)))
-	trainSanitizeSeconds.ObserveDuration(ssp.End())
-	if len(kept) < p.cfg.MinValidRefs {
-		return &InsufficientReferencesError{
-			Usable: len(kept), Total: len(refs), Min: p.cfg.MinValidRefs,
-			Dropped: p.Dropped(),
-		}
-	}
-	p.refs = kept
-	p.idxMu.Lock()
-	p.indexes = nil // reference set changed; indexes rebuild lazily
-	p.idxMu.Unlock()
-	p.memoMu.Lock()
-	p.memo = nil // likewise the scaling stages
-	p.memoMu.Unlock()
-
-	fsp := sp.Child("featsel")
-	defer func() { trainFeatselSeconds.ObserveDuration(fsp.End()) }()
-	// One sub-experiment row per systematic sample, labeled by workload.
-	var subs []*telemetry.Experiment
-	for _, e := range p.refs {
-		subs = append(subs, e.SystematicSample(p.cfg.Subsamples)...)
-	}
-	ds := telemetry.BuildDataset(subs, nil)
-	ds.MinMaxNormalize()
-	res, err := p.cfg.Selection.Evaluate(ds.X, ds.Labels)
-	if err != nil {
-		return fmt.Errorf("core: feature selection: %w", err)
-	}
-	cols := res.TopK(p.cfg.TopK)
-	p.selected = make([]telemetry.Feature, len(cols))
-	for i, c := range cols {
-		p.selected[i] = ds.Features[c]
-	}
-	return nil
+// WorkloadDistance is one reference workload's mean normalized distance to
+// the target (smaller = more similar).
+type WorkloadDistance struct {
+	Workload string
+	Distance float64
 }
 
 // Prediction is the result of an end-to-end throughput prediction.
 type Prediction struct {
-	// NearestReference is the reference workload the target matched.
+	// NearestReference is the reference workload whose scaling model
+	// served the prediction: the first entry of Distances that had usable
+	// scaling data for the SKU pair.
 	NearestReference string
-	// Distances holds the mean normalized distance to each reference
-	// workload (smaller = more similar).
-	Distances map[string]float64
+	// Distances ranks every reference workload by ascending mean
+	// normalized distance to the target, exact ties broken by name.
+	Distances []WorkloadDistance
 	// FromSKU and ToSKU are the source and target hardware.
 	FromSKU, ToSKU telemetry.SKU
 	// ObservedThroughput is the target's mean measured throughput on
@@ -330,37 +365,25 @@ type Prediction struct {
 	SelectedFeatures []telemetry.Feature
 }
 
-// Predict runs the full pipeline: sanitize the target measurements (taken
-// on their SKU), fingerprint them, find the most similar reference
-// workload, fit the scaling model from the target's SKU to toSKU on that
-// reference's data, and apply it to the target's observed throughput.
-// The fitted scaling stage depends only on (nearest reference, from SKU,
-// to SKU), so it is fitted on first use and memoized for later calls.
+// PredictWithReport runs the full pipeline: sanitize the target
+// measurements (taken on their SKU), fingerprint them, find the most
+// similar reference workload, fit the scaling model from the target's SKU
+// to toSKU on that reference's data, and apply it to the target's observed
+// throughput. The fitted scaling stage depends only on (nearest reference,
+// from SKU, to SKU), so it is fitted on first use and memoized for later
+// calls.
 //
-// Predict degrades rather than aborts on dirty inputs: unusable target
-// experiments are dropped (see Dropped) as long as at least one survives,
-// and when the nearest reference cannot supply a scaling dataset for the
-// SKU pair — for example because its runs were rejected during Train —
-// the next-nearest reference is used instead.
+// It degrades rather than aborts on dirty inputs: unusable target
+// experiments are dropped, and returned with their corruption reports
+// (also alongside an error), as long as at least one survives; and when
+// the nearest reference cannot supply a scaling dataset for the SKU pair
+// — for example because its runs were rejected by sanitization — the
+// next-nearest reference is used instead.
 //
-// Predict appends rejected targets to the pipeline's shared Dropped
-// accounting and is therefore not safe for concurrent use; long-running
-// callers that share one trained pipeline across goroutines (the wpredd
-// serving layer) use PredictWithReport instead.
-func (p *Pipeline) Predict(target []*telemetry.Experiment, toSKU telemetry.SKU) (*Prediction, error) {
-	pred, dropped, err := p.PredictWithReport(target, toSKU)
-	p.dropped = append(p.dropped, dropped...)
-	return pred, err
-}
-
-// PredictWithReport is Predict with per-call degradation accounting: the
-// experiments rejected by sanitization are returned to the caller instead
-// of being appended to the pipeline's shared Dropped slice. Because it
-// only reads pipeline state (the trained references, selected features,
-// and configuration), it is safe for any number of goroutines to call
-// concurrently on one trained pipeline, and — everything downstream being
-// deterministic in the config seed — always returns the same result for
-// the same inputs.
+// It only reads what the pipeline was built with, so any number of
+// goroutines may call it concurrently, and — everything downstream being
+// deterministic in the config seed — it always returns the same result
+// for the same inputs.
 func (p *Pipeline) PredictWithReport(target []*telemetry.Experiment, toSKU telemetry.SKU) (*Prediction, []DroppedExperiment, error) {
 	sp := obs.StartSpan("pipeline.predict")
 	sp.SetAttr("targets", strconv.Itoa(len(target)))
@@ -379,7 +402,7 @@ func (p *Pipeline) PredictWithReport(target []*telemetry.Experiment, toSKU telem
 }
 
 func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, sp *obs.Span, dropped *[]DroppedExperiment) (*Prediction, error) {
-	if len(p.refs) == 0 {
+	if p.refs == nil {
 		return nil, ErrNotTrained
 	}
 	if len(target) == 0 {
@@ -399,7 +422,7 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 	}
 
 	msp := sp.Child("similarity")
-	ranked, dists, err := p.similarTo(usable, fromSKU)
+	ranked, err := p.similarTo(usable, fromSKU)
 	predictSimilarSeconds.ObserveDuration(msp.End())
 	if err != nil {
 		return nil, err
@@ -414,7 +437,8 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 	csp := sp.Child("scalemodel")
 	defer func() { predictScaleSeconds.ObserveDuration(csp.End()) }()
 	var lastErr error
-	for _, nearest := range ranked {
+	for _, c := range ranked {
+		nearest := c.Workload
 		pred, err := p.scaleVia(nearest, fromSKU, toSKU, observed)
 		var pe *parallel.PanicError
 		if errors.As(err, &pe) {
@@ -429,7 +453,7 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 		}
 		csp.SetAttr("reference", nearest)
 		pred.NearestReference = nearest
-		pred.Distances = dists
+		pred.Distances = ranked
 		pred.FromSKU, pred.ToSKU = fromSKU, toSKU
 		pred.ObservedThroughput = observed
 		pred.ScalingFactor = pred.PredictedThroughput / observed
@@ -441,18 +465,18 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 
 // similarTo fingerprints the target alongside same-SKU references and
 // returns every reference workload ranked by ascending mean normalized
-// distance, plus the distance map itself. Predict walks the ranking so a
-// reference with unusable scaling data degrades to the next-nearest.
-func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) ([]string, map[string]float64, error) {
-	refs := make([]*telemetry.Experiment, 0, len(p.refs))
-	for _, e := range p.refs {
+// distance. Predict walks the ranking so a reference with unusable scaling
+// data degrades to the next-nearest.
+func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) ([]WorkloadDistance, error) {
+	refs := make([]*telemetry.Experiment, 0, len(p.refs.kept))
+	for _, e := range p.refs.kept {
 		if e.SKU == sku {
 			refs = append(refs, e)
 		}
 	}
 	if len(refs) == 0 {
 		// Fall back to all references when the SKU was never profiled.
-		refs = p.refs
+		refs = p.refs.kept
 	}
 	all := append(append([]*telemetry.Experiment(nil), refs...), target...)
 
@@ -476,7 +500,7 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 			}
 		}
 		if len(kept) == 0 {
-			return nil, nil, errors.New("core: plan-only target but no plan features selected")
+			return nil, errors.New("core: plan-only target but no plan features selected")
 		}
 		features = kept
 	}
@@ -489,13 +513,13 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 
 	b := &fingerprint.Builder{Rep: p.cfg.Representation, Features: features}
 	if err := b.Fit(all); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	items := make([]simeval.Item, 0, len(all))
 	for _, e := range refs {
 		fp, err := b.Build(e)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		items = append(items, simeval.Item{Workload: e.Workload, Run: e.Run, FP: fp})
 	}
@@ -503,13 +527,13 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 	for _, e := range target {
 		fp, err := b.Build(e)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		items = append(items, simeval.Item{Workload: "\x00target", Run: e.Run, FP: fp})
 	}
 	matrix, err := simeval.ComputeMatrix(items, p.cfg.Metric)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Mean distance from every target item to each reference workload.
 	sums := map[string]float64{}
@@ -534,7 +558,7 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 // builder is fitted on the references alone, and each target votes over
 // its IndexK nearest references rather than the whole library — which is
 // why it only engages beyond IndexThreshold.
-func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, features []telemetry.Feature, sku telemetry.SKU, planOnly bool) ([]string, map[string]float64, error) {
+func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, features []telemetry.Feature, sku telemetry.SKU, planOnly bool) ([]WorkloadDistance, error) {
 	key := fmt.Sprintf("%v|%t", sku, planOnly)
 	p.idxMu.Lock()
 	if p.indexes == nil {
@@ -546,7 +570,7 @@ func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, featur
 		ix, err = p.buildRefIndex(refs, features)
 		if err != nil {
 			p.idxMu.Unlock()
-			return nil, nil, err
+			return nil, err
 		}
 		p.indexes[key] = ix
 	}
@@ -560,11 +584,11 @@ func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, featur
 	for _, e := range target {
 		fp, err := ix.builder.Build(e)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		_, d, _, err := ix.ri.NearestWorkloadIndexed(fp, p.cfg.IndexK, "", buf)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for w, v := range d {
 			sums[w] += v
@@ -578,23 +602,23 @@ func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, featur
 }
 
 // rankWorkloads orders reference workloads by ascending mean distance,
-// breaking exact ties by name so the nearest reference never depends on
-// map iteration order.
-func rankWorkloads(means map[string]float64) ([]string, map[string]float64, error) {
+// breaking exact ties by name so neither the nearest reference nor the
+// order Prediction.Distances lists them in depends on map iteration order.
+func rankWorkloads(means map[string]float64) ([]WorkloadDistance, error) {
 	if len(means) == 0 {
-		return nil, nil, errors.New("core: no reference workloads to compare against")
+		return nil, errors.New("core: no reference workloads to compare against")
 	}
-	names := make([]string, 0, len(means))
-	for w := range means {
-		names = append(names, w)
+	ranked := make([]WorkloadDistance, 0, len(means))
+	for w, d := range means {
+		ranked = append(ranked, WorkloadDistance{Workload: w, Distance: d})
 	}
-	sort.Slice(names, func(a, b int) bool {
-		if means[names[a]] != means[names[b]] {
-			return means[names[a]] < means[names[b]]
+	sort.Slice(ranked, func(a, b int) bool {
+		if ranked[a].Distance != ranked[b].Distance {
+			return ranked[a].Distance < ranked[b].Distance
 		}
-		return names[a] < names[b]
+		return ranked[a].Workload < ranked[b].Workload
 	})
-	return names, means, nil
+	return ranked, nil
 }
 
 // buildRefIndex fits a fingerprint builder on the references only and

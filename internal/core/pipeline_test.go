@@ -19,8 +19,8 @@ func simulateQuick(w *simdb.Workload, sku telemetry.SKU, terms, run int, src *te
 func trainedPipeline(t *testing.T) (*Pipeline, []*telemetry.Experiment, telemetry.SKU, telemetry.SKU) {
 	t.Helper()
 	refs, small, large := referenceSuite(t)
-	p := New(Config{Seed: 12, Subsamples: 5})
-	if err := p.Train(refs); err != nil {
+	p, err := TrainPipeline(Config{Seed: 12, Subsamples: 5}, refs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p, refs, small, large
@@ -74,7 +74,7 @@ func TestPipelinePredictEndToEnd(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		target = append(target, simulateQuick(ycsb, small, 8, r, src))
 	}
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,13 @@ func TestPipelineSingleContext(t *testing.T) {
 			refs = append(refs, simulateQuick(w, sku, 8, r, src))
 		}
 	}
-	p := New(Config{Seed: 14, Subsamples: 5, Context: scalemodel.Single})
-	if err := p.Train(refs); err != nil {
+	p, err := TrainPipeline(Config{Seed: 14, Subsamples: 5, Context: scalemodel.Single}, refs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ycsb, _ := bench.ByName(bench.YCSBName)
 	target := []*telemetry.Experiment{simulateQuick(ycsb, small, 8, 0, src)}
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +136,15 @@ func TestPipelineSingleContext(t *testing.T) {
 }
 
 func TestPipelineErrors(t *testing.T) {
-	p := New(Config{})
-	if err := p.Train(nil); err == nil {
+	if _, err := TrainPipeline(Config{}, nil); err == nil {
 		t.Fatal("training without references must error")
 	}
-	if _, err := p.Predict(nil, telemetry.SKU{CPUs: 8}); err == nil {
+	if _, _, err := new(Pipeline).PredictWithReport(nil, telemetry.SKU{CPUs: 8}); err == nil {
 		t.Fatal("predicting untrained must error")
 	}
 
 	p2, _, small, large := trainedPipeline(t)
-	if _, err := p2.Predict(nil, large); err == nil {
+	if _, _, err := p2.PredictWithReport(nil, large); err == nil {
 		t.Fatal("empty target must error")
 	}
 	// Targets spanning SKUs must be rejected.
@@ -155,7 +154,7 @@ func TestPipelineErrors(t *testing.T) {
 		simulateQuick(ycsb, small, 8, 0, src),
 		simulateQuick(ycsb, large, 8, 0, src),
 	}
-	if _, err := p2.Predict(mixed, large); err == nil {
+	if _, _, err := p2.PredictWithReport(mixed, large); err == nil {
 		t.Fatal("mixed-SKU target must error")
 	}
 }
@@ -167,12 +166,12 @@ func TestPipelineErrors(t *testing.T) {
 // a pass is stable).
 func TestPipelineIndexedSimilarity(t *testing.T) {
 	refs, small, large := referenceSuite(t)
-	indexed := New(Config{Seed: 12, Subsamples: 5, IndexThreshold: 1})
-	if err := indexed.Train(refs); err != nil {
+	indexed, err := TrainPipeline(Config{Seed: 12, Subsamples: 5, IndexThreshold: 1}, refs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive := New(Config{Seed: 12, Subsamples: 5, IndexThreshold: -1})
-	if err := exhaustive.Train(refs); err != nil {
+	exhaustive, err := TrainPipeline(Config{Seed: 12, Subsamples: 5, IndexThreshold: -1}, refs)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,11 +181,11 @@ func TestPipelineIndexedSimilarity(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		target = append(target, simulateQuick(ycsb, small, 8, r, tsrc))
 	}
-	got, err := indexed.Predict(target, large)
+	got, _, err := indexed.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exhaustive.Predict(target, large)
+	want, _, err := exhaustive.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestPipelineIndexedSimilarity(t *testing.T) {
 		t.Fatalf("implausible indexed prediction %v", got.PredictedThroughput)
 	}
 	// Second Predict reuses the cached index (covered by -race).
-	if _, err := indexed.Predict(target, large); err != nil {
+	if _, _, err := indexed.PredictWithReport(target, large); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,13 +32,13 @@ func TestRooflineClampLimitsExtrapolation(t *testing.T) {
 	}
 
 	build := func(clamp bool) float64 {
-		p := New(Config{Seed: 21, Subsamples: 5, RooflineClamp: clamp})
-		if err := p.Train(refs); err != nil {
+		p, err := TrainPipeline(Config{Seed: 21, Subsamples: 5, RooflineClamp: clamp}, refs)
+		if err != nil {
 			t.Fatal(err)
 		}
 		tw2, _ := bench.ByName(bench.TwitterName)
 		target := []*telemetry.Experiment{simulateQuick(tw2, skus[0], 8, 7, src)}
-		pred, err := p.Predict(target, skus[3])
+		pred, _, err := p.PredictWithReport(target, skus[3])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -193,7 +193,7 @@ func (e *memoEntry) wait() (*scaleStage, error) {
 // and may extrapolate to a target SKU that was never observed (toIdx -1).
 func (p *Pipeline) scalingDataset(key scaleKey) (rds *scalemodel.Dataset, fromIdx, toIdx int, err error) {
 	var refSetting []*telemetry.Experiment
-	for _, e := range p.refs {
+	for _, e := range p.refs.kept {
 		if e.Workload != key.nearest {
 			continue
 		}

@@ -53,8 +53,8 @@ func samePrediction(a, b *Prediction) bool {
 		len(a.Distances) != len(b.Distances) {
 		return false
 	}
-	for w, d := range a.Distances {
-		if math.Float64bits(d) != math.Float64bits(b.Distances[w]) {
+	for i, d := range a.Distances {
+		if d.Workload != b.Distances[i].Workload || math.Float64bits(d.Distance) != math.Float64bits(b.Distances[i].Distance) {
 			return false
 		}
 	}
@@ -145,9 +145,9 @@ func TestScaleMemoConcurrentFillsOnce(t *testing.T) {
 func TestScaleMemoBoundedBySuite(t *testing.T) {
 	refs, small, large := referenceSuite(t)
 	for _, ctx := range []scalemodel.Context{scalemodel.Pairwise, scalemodel.Single} {
-		p := New(Config{Seed: 12, Subsamples: 5, Context: ctx, Strategy: scalemodel.Regression,
-			Selection: featsel.VarianceThreshold{}})
-		if err := p.Train(refs); err != nil {
+		p, err := TrainPipeline(Config{Seed: 12, Subsamples: 5, Context: ctx, Strategy: scalemodel.Regression,
+			Selection: featsel.VarianceThreshold{}}, refs)
+		if err != nil {
 			t.Fatal(err)
 		}
 		inputs := memoInputs(t, small, large)
@@ -262,8 +262,8 @@ func TestScaleMemoPanickingFillReleasesWaiters(t *testing.T) {
 
 // TestNearestDeterministicOnExactTies duplicates a reference workload
 // under a second name, so both sit at exactly the same distance from the
-// target. The nearest reference must be the same on every call: the name
-// breaks the tie, never map order.
+// target. The nearest reference and the ranked distances must be the same
+// on every call: the name breaks the tie, never map order.
 func TestNearestDeterministicOnExactTies(t *testing.T) {
 	refs, small, large := referenceSuite(t)
 	dup := append([]*telemetry.Experiment(nil), refs...)
@@ -274,8 +274,8 @@ func TestNearestDeterministicOnExactTies(t *testing.T) {
 			dup = append(dup, c)
 		}
 	}
-	p := New(Config{Seed: 12, Subsamples: 5, Selection: featsel.VarianceThreshold{}, Strategy: scalemodel.Regression})
-	if err := p.Train(dup); err != nil {
+	p, err := TrainPipeline(Config{Seed: 12, Subsamples: 5, Selection: featsel.VarianceThreshold{}, Strategy: scalemodel.Regression}, dup)
+	if err != nil {
 		t.Fatal(err)
 	}
 	w, _ := bench.ByName(bench.TPCCName)
@@ -286,8 +286,8 @@ func TestNearestDeterministicOnExactTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := pred.Distances; d[bench.TPCCName] != d["TPC-C copy"] {
-			t.Fatalf("duplicated references are not tied: %v vs %v", d[bench.TPCCName], d["TPC-C copy"])
+		if d := pred.Distances; len(d) < 2 || d[0].Workload != bench.TPCCName || d[1].Workload != "TPC-C copy" || d[0].Distance != d[1].Distance {
+			t.Fatalf("distances %v do not list the tied %s then %q first", d, bench.TPCCName, "TPC-C copy")
 		}
 		if first == nil {
 			first = pred
@@ -306,8 +306,8 @@ func TestNearestDeterministicOnExactTies(t *testing.T) {
 // iteration costs sanitize, similarity and applying a stored stage.
 func BenchmarkPredictPipeline(b *testing.B) {
 	refs, small, large := referenceSuite(b)
-	p := New(Config{Seed: 12, Subsamples: 5, Selection: featsel.VarianceThreshold{}, Strategy: scalemodel.NNet})
-	if err := p.Train(refs); err != nil {
+	p, err := TrainPipeline(Config{Seed: 12, Subsamples: 5, Selection: featsel.VarianceThreshold{}, Strategy: scalemodel.NNet}, refs)
+	if err != nil {
 		b.Fatal(err)
 	}
 	inputs := memoInputs(b, small, large)

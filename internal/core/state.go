@@ -27,38 +27,14 @@ type PipelineState struct {
 	Dropped []DroppedExperiment
 }
 
-// References is a reference suite sanitized under one policy: exactly the
-// experiments Train keeps from that suite, and the ones it drops. It is
-// read-only once built, so every pipeline restored onto it shares its
-// experiments instead of holding a copy.
-type References struct {
-	policy  telemetry.SanitizePolicy
-	kept    []*telemetry.Experiment
-	dropped []DroppedExperiment
-}
-
-// SanitizeReferences sanitizes a reference suite the way Train does under
-// policy. Build it once per suite and restore any number of pipelines
-// onto it.
-func SanitizeReferences(refs []*telemetry.Experiment, policy telemetry.SanitizePolicy) *References {
-	r := &References{policy: policy}
-	r.kept = sanitize(refs, policy, "train", &r.dropped)
-	return r
-}
-
 // State exports the pipeline's trained state for serialization. It fails
-// with ErrNotTrained before a successful Train.
+// with ErrNotTrained on a zero Pipeline, which neither Train nor Restore
+// built.
 func (p *Pipeline) State() (PipelineState, error) {
-	if len(p.refs) == 0 {
+	if p.refs == nil {
 		return PipelineState{}, ErrNotTrained
 	}
-	st := PipelineState{Selected: append([]telemetry.Feature(nil), p.selected...)}
-	for _, d := range p.dropped {
-		if d.Stage == "train" {
-			st.Dropped = append(st.Dropped, d)
-		}
-	}
-	return st, nil
+	return PipelineState{Selected: p.SelectedFeatures(), Dropped: p.Dropped()}, nil
 }
 
 // Restore reconstructs a trained pipeline from a previously exported state
@@ -72,30 +48,22 @@ func (p *Pipeline) State() (PipelineState, error) {
 // and refusing mismatched restores. Restore itself checks what it can:
 // refs must have been sanitized under cfg's policy, and the state's
 // recorded drops must be exactly the ones refs drops, or it fails with
-// ErrCorrupt. The restored pipeline is safe for concurrent
-// PredictWithReport calls, exactly like a freshly trained one.
+// ErrCorrupt. It checks refs exactly as Train does, and the restored
+// pipeline is safe for concurrent PredictWithReport calls, exactly like a
+// freshly trained one.
 func Restore(cfg Config, refs *References, st PipelineState) (*Pipeline, error) {
-	if refs == nil || len(refs.kept) == 0 {
-		return nil, fmt.Errorf("core: restore: %w", ErrNoReferences)
+	p, err := newPipeline(cfg, refs)
+	if err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	if len(st.Selected) == 0 {
 		return nil, fmt.Errorf("core: restore: state has no selected features")
-	}
-	p := New(cfg)
-	if refs.policy != p.cfg.Sanitize {
-		return nil, fmt.Errorf("core: restore: references were sanitized under another policy")
-	}
-	if len(refs.kept) < p.cfg.MinValidRefs {
-		return nil, fmt.Errorf("core: restore: %d references below the minimum of %d",
-			len(refs.kept), p.cfg.MinValidRefs)
 	}
 	if !sameDrops(st.Dropped, refs.dropped) {
 		return nil, fmt.Errorf("core: restore: %w: the state records %d dropped references, the suite drops %d differently",
 			ErrCorrupt, len(st.Dropped), len(refs.dropped))
 	}
-	p.refs = refs.kept
 	p.selected = append([]telemetry.Feature(nil), st.Selected...)
-	p.dropped = append([]DroppedExperiment(nil), refs.dropped...)
 	return p, nil
 }
 

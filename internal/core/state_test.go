@@ -81,36 +81,54 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateExportsTrainDropsOnly: Predict appends rejected targets to the
-// pipeline's drop accounting, but the exported state keeps the train
-// stage only, so it still restores onto the suite's references.
+// TestStateExportsTrainDropsOnly: predictions on dirty targets report
+// their rejected targets per call and leave the pipeline untouched:
+// Dropped and the exported state keep the train-stage drops only, however
+// many predictions ran, so the state still restores onto the suite's
+// references.
 func TestStateExportsTrainDropsOnly(t *testing.T) {
 	refs, target := stateSuite(t)
+	refs = append(append([]*telemetry.Experiment(nil), refs...), wreck(refs[1]))
 	cfg := Config{Seed: 42}
 	p, err := TrainPipeline(cfg, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Predict(append([]*telemetry.Experiment{wreck(target[0])}, target...), telemetry.SKU{CPUs: 4, MemoryGB: 32}); err != nil {
+	trainDrops := p.Dropped()
+	before, err := p.State()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Dropped()) != 1 {
-		t.Fatalf("Predict recorded %d drops, want 1", len(p.Dropped()))
+	if len(trainDrops) != 1 || len(before.Dropped) != 1 {
+		t.Fatalf("train recorded %d drops (state %d), want the wrecked reference", len(trainDrops), len(before.Dropped))
+	}
+	dirty := append([]*telemetry.Experiment{wreck(target[0])}, target...)
+	for i := 0; i < 3; i++ {
+		_, dropped, err := p.PredictWithReport(dirty, telemetry.SKU{CPUs: 4, MemoryGB: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dropped) != 1 || dropped[0].Stage != "predict" {
+			t.Fatalf("call %d reported drops %v, want the one wrecked target", i, dropped)
+		}
+	}
+	if got := p.Dropped(); !sameDrops(got, trainDrops) {
+		t.Fatalf("predictions changed Dropped: %v, want %v", got, trainDrops)
 	}
 	st, err := p.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Dropped) != 0 {
-		t.Fatalf("state exported predict-stage drops: %v", st.Dropped)
+	if !sameDrops(st.Dropped, before.Dropped) {
+		t.Fatalf("predictions changed the exported drops: %v, want %v", st.Dropped, before.Dropped)
 	}
 	if _, err := Restore(cfg, SanitizeReferences(refs, cfg.Sanitize), st); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRestoreSharesReferences: pipelines restored onto one References
-// share its experiments and its slice; none holds a copy of the suite.
+// TestRestoreSharesReferences: pipelines trained on or restored onto one
+// References share it; none holds a copy of the suite.
 func TestRestoreSharesReferences(t *testing.T) {
 	refs, _ := stateSuite(t)
 	cfg := Config{Seed: 42}
@@ -131,8 +149,12 @@ func TestRestoreSharesReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.refs) != len(shared.kept) || &a.refs[0] != &shared.kept[0] || &b.refs[0] != &a.refs[0] {
-		t.Fatal("restored pipelines do not share the references slice")
+	trained, err := Train(cfg, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.References() != shared || b.References() != shared || trained.References() != shared {
+		t.Fatal("pipelines built on one References do not share it")
 	}
 }
 
@@ -176,7 +198,7 @@ func TestRestoreRejectsDisagreeingDrops(t *testing.T) {
 // policy must all fail loudly instead of yielding a pipeline that panics
 // or diverges later.
 func TestStateErrors(t *testing.T) {
-	if _, err := New(Config{}).State(); err == nil {
+	if _, err := new(Pipeline).State(); err == nil {
 		t.Error("State on an untrained pipeline should fail")
 	}
 	sel := PipelineState{Selected: []telemetry.Feature{telemetry.CPUUtilization}}

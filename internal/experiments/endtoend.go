@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"wpred/internal/bench"
 	"wpred/internal/core"
@@ -14,7 +13,8 @@ import (
 // Figure10Result is the similarity ranking of YCSB against the reference
 // workloads.
 type Figure10Result struct {
-	Distances map[string]float64
+	// Distances ranks the references by ascending mean distance.
+	Distances []core.WorkloadDistance
 	Nearest   string
 }
 
@@ -32,12 +32,12 @@ func (s *Suite) Figure10() (*Figure10Result, error) {
 		return nil, err
 	}
 
-	p := core.New(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()})
-	if err := p.Train(refExps); err != nil {
+	p, err := core.TrainPipeline(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()}, refExps)
+	if err != nil {
 		return nil, err
 	}
 	// Predict to the same SKU: we only need the similarity side effects.
-	pred, err := p.Predict(target, SKU2)
+	pred, _, err := p.PredictWithReport(target, SKU2)
 	if err != nil {
 		return nil, err
 	}
@@ -50,17 +50,12 @@ func (r *Figure10Result) Table() *Table {
 		Title:  "Figure 10: Hist-FP L2,1 similarity of YCSB to reference workloads",
 		Header: []string{"Reference", "Mean distance", "Nearest?"},
 	}
-	names := make([]string, 0, len(r.Distances))
-	for n := range r.Distances {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(a, b int) bool { return r.Distances[names[a]] < r.Distances[names[b]] })
-	for _, n := range names {
+	for _, d := range r.Distances {
 		mark := ""
-		if n == r.Nearest {
+		if d.Workload == r.Nearest {
 			mark = "← nearest"
 		}
-		t.AddRow(n, f3(r.Distances[n]), mark)
+		t.AddRow(d.Workload, f3(d.Distance), mark)
 	}
 	return t
 }
@@ -110,13 +105,13 @@ func (s *Suite) Figure11() (*Figure11Result, error) {
 		return nil, err
 	}
 
-	p := core.New(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()})
-	if err := p.Train(refExps); err != nil {
+	p, err := core.TrainPipeline(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()}, refExps)
+	if err != nil {
 		return nil, err
 	}
 	var preds, actuals []float64
 	for _, e := range target2 {
-		pr, err := p.Predict([]*telemetry.Experiment{e}, sku8)
+		pr, _, err := p.PredictWithReport([]*telemetry.Experiment{e}, sku8)
 		if err != nil {
 			return nil, err
 		}
@@ -154,11 +149,11 @@ func (s *Suite) Figure11() (*Figure11Result, error) {
 		return nil, err
 	}
 
-	pb := core.New(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()})
-	if err := pb.Train(refExpsB); err != nil {
+	pb, err := core.TrainPipeline(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()}, refExpsB)
+	if err != nil {
 		return nil, err
 	}
-	prB, err := pb.Predict(targetS1, s2)
+	prB, _, err := pb.PredictWithReport(targetS1, s2)
 	if err != nil {
 		return nil, err
 	}

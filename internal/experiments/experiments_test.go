@@ -220,7 +220,14 @@ func TestFigure10Shape(t *testing.T) {
 	if r.Nearest != bench.TPCCName {
 		t.Fatalf("YCSB nearest = %s, want TPC-C (the paper's result)", r.Nearest)
 	}
-	if r.Distances[bench.TPCHName] <= r.Distances[bench.TPCCName] {
+	rank := map[string]int{}
+	for i, d := range r.Distances {
+		rank[d.Workload] = i
+		if i > 0 && d.Distance < r.Distances[i-1].Distance {
+			t.Fatalf("distances not ascending at %d: %v", i, r.Distances)
+		}
+	}
+	if rank[bench.TPCHName] <= rank[bench.TPCCName] {
 		t.Fatal("TPC-H must be farther from YCSB than TPC-C")
 	}
 }

@@ -97,8 +97,8 @@ func (s *Suite) Robustness() (*FaultSweepResult, error) {
 	run := func(models []faults.Model, rate float64) FaultSweepCell {
 		cell := FaultSweepCell{Rate: rate}
 		in := &faults.Injector{Seed: s.Seed, Rate: rate, Models: models}
-		p := core.New(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()})
-		if err := p.Train(in.Corrupt(refExps)); err != nil {
+		p, err := core.TrainPipeline(core.Config{Seed: s.Seed, Subsamples: s.Subsamples()}, in.Corrupt(refExps))
+		if err != nil {
 			cell.Err = shortErr(err)
 			var ire *core.InsufficientReferencesError
 			if errors.As(err, &ire) {
@@ -106,14 +106,11 @@ func (s *Suite) Robustness() (*FaultSweepResult, error) {
 			}
 			return cell
 		}
-		pred, err := p.Predict(in.Corrupt(targetExps), sku8)
-		for _, d := range p.Dropped() {
-			if d.Stage == "train" {
-				cell.DroppedRefs++
-			} else {
-				cell.DroppedTargets++
-			}
-		}
+		// The prediction's rejected targets come back with its error too,
+		// so a failed cell still counts them.
+		pred, droppedTargets, err := p.PredictWithReport(in.Corrupt(targetExps), sku8)
+		cell.DroppedRefs = len(p.Dropped())
+		cell.DroppedTargets = len(droppedTargets)
 		if err != nil {
 			cell.Err = shortErr(err)
 			return cell

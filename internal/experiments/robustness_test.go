@@ -29,16 +29,16 @@ func TestRobustnessZeroRateReproducesCleanPrediction(t *testing.T) {
 	}
 
 	predict := func(re, te []*telemetry.Experiment) *core.Prediction {
-		p := core.New(core.Config{Seed: 42, Subsamples: s.Subsamples()})
-		if err := p.Train(re); err != nil {
-			t.Fatal(err)
-		}
-		pred, err := p.Predict(te, sku8)
+		p, err := core.TrainPipeline(core.Config{Seed: 42, Subsamples: s.Subsamples()}, re)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Dropped()) != 0 {
-			t.Fatalf("clean experiments dropped: %v", p.Dropped())
+		pred, dropped, err := p.PredictWithReport(te, sku8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Dropped()) != 0 || len(dropped) != 0 {
+			t.Fatalf("clean experiments dropped: %v %v", p.Dropped(), dropped)
 		}
 		return pred
 	}

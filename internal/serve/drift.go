@@ -128,48 +128,21 @@ func (s *Server) DriftForecast(k Key, horizon int) *drift.Forecast {
 	return s.tracker.Forecast(k.withDefaults().String(), horizon)
 }
 
-// driftStatePath returns the tracker persistence path, or "" when
-// durability is disabled.
-func (s *Server) driftStatePath() string {
-	if s.snaps == nil || s.snaps.store == nil {
-		return ""
-	}
-	return filepath.Join(s.snaps.store.Dir(), driftStateFile)
-}
-
 // persistDriftState saves the tracker windows next to the model
-// snapshots: write to a temp file, fsync, rename — the same atomicity
-// contract as the snapshot store, so a crash mid-write leaves the
-// previous state intact.
+// snapshots, through the snapshot store's atomic writer, so a crash
+// mid-write leaves the previous state intact.
 func (s *Server) persistDriftState() error {
-	path := s.driftStatePath()
-	if path == "" {
+	if s.snaps == nil {
 		return nil
 	}
 	raw, err := json.Marshal(s.tracker.State())
+	if err == nil {
+		err = s.snaps.store.WriteFile(driftStateFile, func(w io.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		})
+	}
 	if err != nil {
-		return fmt.Errorf("serve: drift state: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("serve: drift state: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), driftStateFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: drift state: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: drift state: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: drift state: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: drift state: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("serve: drift state: %w", err)
 	}
 	return nil
@@ -180,11 +153,10 @@ func (s *Server) persistDriftState() error {
 // a cold start, not an error; a corrupt file is ignored (the tracker
 // simply starts cold) rather than blocking the restart.
 func (s *Server) restoreDriftState() int {
-	path := s.driftStatePath()
-	if path == "" {
+	if s.snaps == nil {
 		return 0
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(s.snaps.store.Dir(), driftStateFile))
 	if err != nil {
 		return 0
 	}

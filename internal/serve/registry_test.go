@@ -36,7 +36,7 @@ func (f *fakeTrainer) train(k Key) (*core.Pipeline, error) {
 	if k == f.failKey && f.fails.Add(1) <= f.failLim {
 		return nil, errors.New("transient fit failure")
 	}
-	p := core.New(core.Config{})
+	p := new(core.Pipeline)
 	f.mu.Lock()
 	f.perKey[k]++
 	f.byPipe[p] = k
@@ -238,7 +238,7 @@ func TestRegistryRefitCoalescesAndSwaps(t *testing.T) {
 		if trains.Add(1) > 1 {
 			<-gate // refit trains block until released; the Get fit passes
 		}
-		return core.New(core.Config{}), nil
+		return new(core.Pipeline), nil
 	})
 	k := testKey(0)
 	old, err := r.Get(k)
@@ -285,7 +285,7 @@ func TestRegistryRefitFailureServesStale(t *testing.T) {
 		if trains.Add(1) > 1 {
 			return nil, errors.New("refit blew up")
 		}
-		return core.New(core.Config{}), nil
+		return new(core.Pipeline), nil
 	})
 	k := testKey(0)
 	old, err := r.Get(k)
@@ -325,7 +325,7 @@ func TestRegistryRefitDuringRestoreUnderRace(t *testing.T) {
 		trainMu.Lock()
 		trained[k]++
 		trainMu.Unlock()
-		return core.New(core.Config{}), nil
+		return new(core.Pipeline), nil
 	})
 	restoreGate := make(chan struct{})
 	var restoresEntered sync.WaitGroup
@@ -333,7 +333,7 @@ func TestRegistryRefitDuringRestoreUnderRace(t *testing.T) {
 	r.SetRestore(func(k Key) (*core.Pipeline, bool) {
 		restoresEntered.Done()
 		<-restoreGate
-		return core.New(core.Config{}), true
+		return new(core.Pipeline), true
 	})
 
 	// Phase 1: one cold Get per key, each now parked inside the restore hook.
@@ -417,7 +417,7 @@ func TestRegistryPanickingRefitResolves(t *testing.T) {
 		if trains.Add(1) == 2 {
 			panic("injected refit failure")
 		}
-		return core.New(core.Config{}), nil
+		return new(core.Pipeline), nil
 	})
 	k := testKey(0)
 	old, err := r.Get(k)

@@ -245,9 +245,9 @@ type droppedJSON struct {
 }
 
 // predictResponse is the wire form of a successful prediction. All slices
-// are deterministically ordered (distances ascending with name tie-break,
-// dropped reports in input order), so the encoded body is byte-identical
-// for identical requests.
+// are deterministically ordered (distances in the pipeline's rank order,
+// ascending with name tie-break; dropped reports in input order), so the
+// encoded body is byte-identical for identical requests.
 type predictResponse struct {
 	Selection           string         `json:"selection"`
 	Metric              string         `json:"metric"`
@@ -289,22 +289,11 @@ func renderPrediction(key Key, pred *core.Prediction, dropped []core.DroppedExpe
 		PredictedHi:         pred.PredictedHi,
 		ScalingFactor:       pred.ScalingFactor,
 	}
-	names := make([]string, 0, len(pred.Distances))
-	for n := range pred.Distances {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(a, b int) bool {
-		da, db := pred.Distances[names[a]], pred.Distances[names[b]]
-		if da != db {
-			return da < db
+	for _, d := range pred.Distances {
+		if !finite(d.Distance) {
+			return nil, fmt.Errorf("serve: non-finite distance for %s", d.Workload)
 		}
-		return names[a] < names[b]
-	})
-	for _, n := range names {
-		if !finite(pred.Distances[n]) {
-			return nil, fmt.Errorf("serve: non-finite distance for %s", n)
-		}
-		resp.Distances = append(resp.Distances, distanceJSON{Workload: n, Distance: pred.Distances[n]})
+		resp.Distances = append(resp.Distances, distanceJSON{Workload: d.Workload, Distance: d.Distance})
 	}
 	for _, f := range pred.SelectedFeatures {
 		resp.SelectedFeatures = append(resp.SelectedFeatures, f.String())

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,6 +271,62 @@ func TestStoreSaveLoad(t *testing.T) {
 		if !strings.HasSuffix(e.Name(), ext) {
 			t.Errorf("stray file %s left in store", e.Name())
 		}
+	}
+}
+
+// TestFailedWriteKeepsPreviousFile: a save whose write fails leaves the
+// previous file loadable and no temp file behind, for a snapshot (whose
+// encoder refuses an empty state) and for the drift-state file, which
+// wpredd writes through the same WriteFile.
+func TestFailedWriteKeepsPreviousFile(t *testing.T) {
+	snap, _, _ := testSnapshot(t)
+	st := NewStore(t.TempDir())
+	if err := st.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	broken := *snap
+	broken.State = core.PipelineState{}
+	if err := st.Save(&broken); err == nil {
+		t.Fatal("saving a snapshot with an empty state succeeded")
+	}
+	got, err := st.Load(snap.Selection, snap.Metric, snap.Model)
+	if err != nil {
+		t.Fatalf("the previous snapshot no longer loads: %v", err)
+	}
+	if !reflect.DeepEqual(got.State.Selected, snap.State.Selected) {
+		t.Errorf("loaded features %v, want the previous snapshot's %v", got.State.Selected, snap.State.Selected)
+	}
+
+	const name = "drift_state.json"
+	good := []byte(`{"keys":{}}`)
+	if err := st.WriteFile(name, func(w io.Writer) error { _, err := w.Write(good); return err }); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err = st.WriteFile(name, func(w io.Writer) error {
+		if _, err := w.Write([]byte(`{"keys":`)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want the writer's error", err)
+	}
+	if raw, err := os.ReadFile(filepath.Join(st.Dir(), name)); err != nil || !bytes.Equal(raw, good) {
+		t.Fatalf("drift state after a failed write: %q (%v), want the previous %q", raw, err, good)
+	}
+
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != name && !strings.HasSuffix(e.Name(), ext) {
+			t.Errorf("stray file %s left in store", e.Name())
+		}
+	}
+	if len(entries) != 2 {
+		t.Errorf("store holds %d files, want the snapshot and the drift state", len(entries))
 	}
 }
 

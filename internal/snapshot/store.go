@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,8 +17,8 @@ import (
 // truncated), so concurrent daemons sharing one directory — the fleet
 // deployment the router is built for — converge on one file per model, and
 // a fit on any instance becomes restorable by every other without
-// coordination. Saves are atomic (temp file + fsync + rename), so readers
-// never observe a torn file: they see the old snapshot or the new one.
+// coordination. Saves are atomic and durable (WriteFile), so readers never
+// observe a torn file: they see the old snapshot or the new one.
 type Store struct {
 	dir string
 }
@@ -38,42 +39,57 @@ func (st *Store) Path(selection, metric, model string) string {
 	return filepath.Join(st.dir, hex.EncodeToString(sum[:16])+ext)
 }
 
-// Save writes the snapshot atomically: a unique temp file in the same
-// directory is written, synced, and renamed over the final path. A crash
-// at any point leaves either the previous snapshot or the new one, never
-// a torn file; stray temp files from crashed writers are ignored by loads
-// (they lack the .snap suffix).
+// Save writes the snapshot atomically and durably under its key's path
+// (see WriteFile). Stray temp files from crashed writers are ignored by
+// loads (they lack the .snap suffix).
 func (st *Store) Save(s *Snapshot) error {
+	return st.WriteFile(filepath.Base(st.Path(s.Selection, s.Metric, s.Model)), func(w io.Writer) error {
+		return Encode(w, s)
+	})
+}
+
+// WriteFile replaces the file name in the store's directory with what
+// write produces, atomically and durably: a unique temp file in the same
+// directory is written, fsynced and renamed over name, and the directory
+// is fsynced so the rename itself survives a crash. A crash or a failure
+// at any step leaves the previous file (or none) in place, never a torn
+// one, and a failure removes the temp file. Every durable file of the
+// snapshot directory goes through it: the snapshots and wpredd's
+// drift-state file.
+func (st *Store) WriteFile(name string, write func(io.Writer) error) error {
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: store dir: %w", err)
 	}
-	final := st.Path(s.Selection, s.Metric, s.Model)
-	tmp, err := os.CreateTemp(st.dir, "tmp-*"+ext+".partial")
+	tmp, err := os.CreateTemp(st.dir, name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: temp file: %w", err)
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := Encode(tmp, s); err != nil {
-		return fmt.Errorf("snapshot: write %s: %w", filepath.Base(final), err)
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("snapshot: sync %s: %w", filepath.Base(final), err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		os.Remove(name)
-		return fmt.Errorf("snapshot: close %s: %w", filepath.Base(final), err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(st.dir, name))
 	}
-	tmp = nil
-	if err := os.Rename(name, final); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("snapshot: publish %s: %w", filepath.Base(final), err)
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("snapshot: write %s: %w", name, err)
+	}
+	return syncDir(st.dir)
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("snapshot: sync dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("snapshot: sync dir: %w", err)
 	}
 	return nil
 }

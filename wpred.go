@@ -21,9 +21,9 @@
 //
 //	src := wpred.NewSource(42)
 //	refs := wpred.GenerateSuite(wpred.ReferenceWorkloads(), wpred.DefaultSKUs(), []int{8}, 3, src)
-//	p := wpred.NewPipeline(wpred.PipelineConfig{Seed: 42})
-//	if err := p.Train(refs); err != nil { ... }
-//	pred, err := p.Predict(targetExperiments, wpred.SKU{CPUs: 8, MemoryGB: 64})
+//	p, err := wpred.TrainPipeline(wpred.PipelineConfig{Seed: 42}, refs)
+//	if err != nil { ... }
+//	pred, dropped, err := p.PredictWithReport(targetExperiments, wpred.SKU{CPUs: 8, MemoryGB: 64})
 //
 // See examples/ for complete programs and DESIGN.md for the experiment
 // index.
@@ -63,11 +63,15 @@ type (
 	PipelineConfig = core.Config
 	// Prediction is an end-to-end prediction result.
 	Prediction = core.Prediction
+	// WorkloadDistance is one entry of Prediction.Distances: a reference
+	// workload and its mean normalized distance to the target.
+	WorkloadDistance = core.WorkloadDistance
 	// DroppedExperiment records an input the pipeline rejected during
 	// sanitization, with the corruption report explaining why.
 	DroppedExperiment = core.DroppedExperiment
-	// InsufficientReferencesError reports Train failing because sanitization
-	// left fewer usable references than PipelineConfig.MinValidRefs.
+	// InsufficientReferencesError reports TrainPipeline failing because
+	// sanitization left fewer usable references than
+	// PipelineConfig.MinValidRefs.
 	InsufficientReferencesError = core.InsufficientReferencesError
 
 	// SanitizePolicy tunes telemetry validation thresholds; the zero value
@@ -113,8 +117,8 @@ const (
 	Single   = scalemodel.Single
 )
 
-// Pipeline sentinel errors, for errors.Is tests against Train/Predict
-// failures.
+// Pipeline sentinel errors, for errors.Is tests against TrainPipeline and
+// PredictWithReport failures.
 var (
 	ErrNotTrained         = core.ErrNotTrained
 	ErrNoReferences       = core.ErrNoReferences
@@ -137,8 +141,13 @@ func Sanitize(e *Experiment, p SanitizePolicy) (*Experiment, *CorruptionReport) 
 // defects, leaving the telemetry untouched.
 func Validate(e *Experiment, p SanitizePolicy) *CorruptionReport { return telemetry.Validate(e, p) }
 
-// NewPipeline returns an untrained pipeline.
-func NewPipeline(cfg PipelineConfig) *Pipeline { return core.New(cfg) }
+// TrainPipeline sanitizes the reference experiments, runs feature selection
+// over the usable ones, and returns the trained pipeline. A trained
+// pipeline never changes: Dropped reports the references sanitization
+// rejected, and PredictWithReport returns each call's rejected targets.
+func TrainPipeline(cfg PipelineConfig, refs []*Experiment) (*Pipeline, error) {
+	return core.TrainPipeline(cfg, refs)
+}
 
 // NewSource returns a deterministic randomness source rooted at seed.
 func NewSource(seed uint64) *Source { return telemetry.NewSource(seed) }

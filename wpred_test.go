@@ -43,8 +43,8 @@ func TestEndToEndViaPublicAPI(t *testing.T) {
 		t.Fatalf("suite = %d experiments", len(refExps))
 	}
 
-	p := NewPipeline(PipelineConfig{Seed: 42, Subsamples: 5})
-	if err := p.Train(refExps); err != nil {
+	p, err := TrainPipeline(PipelineConfig{Seed: 42, Subsamples: 5}, refExps)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestEndToEndViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := GenerateSuite([]*Workload{ycsb}, []SKU{small}, []int{8}, 3, src)
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
