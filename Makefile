@@ -38,7 +38,8 @@ verify: fmt-check build vet driver-check race
 # fuzz runs the telemetry decoder, wpredd request decoder (every accepted
 # request is also predicted) and VP-tree query fuzzers for short bursts
 # beyond their committed seed corpora (the corpora themselves run as plain
-# tests under make test/verify).
+# tests under make test/verify). The first two also hold the one-pass
+# scanner to encoding/json on every input; CI's fuzz job runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadExperiments -fuzztime 30s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 30s ./internal/serve/
@@ -89,7 +90,9 @@ bench:
 # Predict macro-benchmarks (including the memoized pipeline predict path,
 # BenchmarkPredictPipeline in internal/core), the in-process wpredd
 # handler hits (BenchmarkServePredictSingle and BenchmarkServePredictBatch8
-# in internal/serve: request decode through response encode on a warm key)
+# in internal/serve: request decode through response encode on a warm key),
+# the reference-library read (BenchmarkReadExperiments in
+# internal/telemetry: wpredd's default 60-experiment library stream)
 # plus the DTW-cascade and nearest-reference index micro-benchmarks with
 # short settings and fails (non-zero exit) when any median ns/op,
 # allocs/op, or B/op regresses more than 20% against the committed
@@ -100,10 +103,10 @@ bench:
 # suffix on any host and match the baseline's. The fresh snapshot is left
 # in BENCH.check.json so CI can archive it. Regenerate the baseline on the
 # same machine class after an intentional perf change:
-#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest|BenchmarkServePredict' -benchmem -count 3 -benchtime 0.3s -cpu 1 ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ ./internal/serve/ > bench.txt
+#   go test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest|BenchmarkServePredict|BenchmarkReadExperiments' -benchmem -count 3 -benchtime 0.3s -cpu 1 ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ ./internal/serve/ ./internal/telemetry/ > bench.txt
 #   go run ./cmd/benchdiff -parse bench.txt -o BENCH.baseline.json
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest|BenchmarkServePredict' -benchmem -count 3 -benchtime 0.3s -cpu 1 -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ ./internal/serve/ > bench.check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFit|BenchmarkPredict|BenchmarkDTW|BenchmarkNearest|BenchmarkServePredict|BenchmarkReadExperiments' -benchmem -count 3 -benchtime 0.3s -cpu 1 -timeout 20m ./internal/ml/... ./internal/distance/ ./internal/ann/ ./internal/core/ ./internal/serve/ ./internal/telemetry/ > bench.check.txt
 	$(GO) run ./cmd/benchdiff -parse bench.check.txt -o BENCH.check.json
 	$(GO) run ./cmd/benchdiff -threshold 20 BENCH.baseline.json BENCH.check.json
 	@rm -f bench.check.txt

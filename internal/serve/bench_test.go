@@ -22,43 +22,57 @@ var (
 	served     servedBodies
 )
 
-// serveBenchBodies builds the serve benchmarks' fixture once, shaped like
-// wpredbench's requests: wpredd's default reference library (the five
-// standard workloads on 2/4/8/16 CPUs, three runs each, 360 ticks) and
-// targets of the same five workloads on 2 and 4 CPUs, each predicted to 8
-// and 16 CPUs, about 121 KB per target document. Every body is sent once
-// before timing, so the cheap test key is trained and its scaling memo is
-// warm: a timed request is a registry hit, mostly request decoding.
+// serveBenchBodies builds the serve benchmarks' fixture once: a server on
+// wpredd's default reference library (the five standard workloads on
+// 2/4/8/16 CPUs, three runs each, 360 ticks) and wpredbenchBodies' request
+// bodies. Every body is sent once before timing, so the cheap test key is
+// trained and its scaling memo is warm: a timed request is a registry hit,
+// mostly request decoding.
 func serveBenchBodies(b *testing.B) *servedBodies {
 	b.Helper()
 	servedOnce.Do(func() {
-		var skus []telemetry.SKU
-		for _, c := range []int{2, 4, 8, 16} {
-			skus = append(skus, telemetry.SKU{CPUs: c, MemoryGB: 8 * c})
-		}
-		refs := bench.GenerateSuite(bench.Standard(), skus, []int{8}, 3, telemetry.NewSource(42))
-		targets := bench.GenerateSuite(bench.Standard(), skus[:2], []int{8}, 1, telemetry.NewSource(42).Child("targets"))
+		refs := bench.GenerateSuite(bench.Standard(), referenceSKUs(), []int{8}, 3, telemetry.NewSource(42))
 		served.s = New(Config{Refs: refs, Seed: 42})
-
-		for _, e := range targets {
-			for _, to := range []int{8, 16} {
-				served.singles = append(served.singles, marshalPredict(b, []*telemetry.Experiment{e}, to))
-			}
-		}
-		// Two passes over the pool, eight items per batch.
-		n := len(served.singles)
-		for i := 0; i < 2*n; i += 8 {
-			var batch batchWire
-			for j := i; j < i+8; j++ {
-				batch.Requests = append(batch.Requests, served.singles[j%n])
-			}
-			served.batches = append(served.batches, mustMarshal(b, batch))
-		}
+		served.singles, served.batches = wpredbenchBodies(b)
 		for _, body := range served.singles {
 			servePost(b, "/v1/predict", body)
 		}
 	})
 	return &served
+}
+
+// referenceSKUs are wpredd's default simulated SKUs: 2/4/8/16 CPUs at
+// 8 GB per CPU.
+func referenceSKUs() []telemetry.SKU {
+	var skus []telemetry.SKU
+	for _, c := range []int{2, 4, 8, 16} {
+		skus = append(skus, telemetry.SKU{CPUs: c, MemoryGB: 8 * c})
+	}
+	return skus
+}
+
+// wpredbenchBodies renders request bodies shaped like wpredbench's:
+// targets of the five standard workloads on 2 and 4 CPUs, each predicted
+// to 8 and 16 CPUs as one single-target /v1/predict body (about 121 KB),
+// and two passes over those bodies as /v1/predict/batch bodies of eight
+// items.
+func wpredbenchBodies(tb testing.TB) (singles, batches [][]byte) {
+	tb.Helper()
+	targets := bench.GenerateSuite(bench.Standard(), referenceSKUs()[:2], []int{8}, 1, telemetry.NewSource(42).Child("targets"))
+	for _, e := range targets {
+		for _, to := range []int{8, 16} {
+			singles = append(singles, marshalPredict(tb, []*telemetry.Experiment{e}, to))
+		}
+	}
+	n := len(singles)
+	for i := 0; i < 2*n; i += 8 {
+		var batch batchWire
+		for j := i; j < i+8; j++ {
+			batch.Requests = append(batch.Requests, singles[j%n])
+		}
+		batches = append(batches, mustMarshal(tb, batch))
+	}
+	return singles, batches
 }
 
 // servePost drives one request through the handler in process and fails

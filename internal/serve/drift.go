@@ -65,9 +65,9 @@ type observeResponse struct {
 }
 
 // decodeObserveRequest decodes and validates one feedback observation.
-func decodeObserveRequest(r io.Reader) (Key, drift.Observation, error) {
+func decodeObserveRequest(body []byte) (Key, drift.Observation, error) {
 	var raw observeRequest
-	if err := decodeStrict(r, &raw, "observation"); err != nil {
+	if err := decodeStrict(body, &raw, "observation"); err != nil {
 		return Key{}, drift.Observation{}, err
 	}
 	key, err := validateKey(raw.Selection, raw.Metric, raw.Model)
@@ -86,9 +86,13 @@ func decodeObserveRequest(r io.Reader) (Key, drift.Observation, error) {
 // resident model keeps serving, so there is no cold-start cliff and no
 // 5xx window during the swap.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	key, o, err := decodeObserveRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	key, o, err := decodeObserveRequest(body)
 	if err != nil {
-		decodeFailure(w, err)
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	driftObsTotal.Inc()

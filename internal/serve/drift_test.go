@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -95,6 +97,7 @@ func TestObserveRejectsMalformedRequests(t *testing.T) {
 		{"truncated JSON", `{"tick": 1,`},
 		{"unknown field", `{"tick": 1, "observed": 2, "predicted": 2, "bogus": true}`},
 		{"trailing data", `{"tick": 1, "observed": 2, "predicted": 2}{"again": true}`},
+		{"trailing close brackets", `{"tick": 1, "observed": 2, "predicted": 2}]]x`},
 		{"overflowing observed", `{"tick": 1, "observed": 1e999, "predicted": 2}`},
 		{"NaN via string", `{"tick": 1, "observed": "NaN", "predicted": 2}`},
 		{"unknown selection", `{"selection": "NoSuchStrategy", "tick": 1, "observed": 2, "predicted": 2}`},
@@ -109,6 +112,16 @@ func TestObserveRejectsMalformedRequests(t *testing.T) {
 	}
 	if _, _, events, _ := s.tracker.Stats(); events != 0 {
 		t.Errorf("rejected requests produced %d drift events", events)
+	}
+
+	// A body over the cap is a 413, even when its object ends inside it.
+	small := newTestServer(t, Config{MaxBodyBytes: 4 << 10})
+	over := append(observeBody(t, good, 1, 101, 100), bytes.Repeat([]byte(" "), 8<<10)...)
+	if code, body := serveLocal(small, "/v1/observe", over); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("8 KiB observation under a 4 KiB cap: status = %d, want 413: %s", code, body)
+	}
+	if keys, _, _, _ := small.tracker.Stats(); keys != 0 {
+		t.Errorf("the over-cap observation reached the tracker (%d keys)", keys)
 	}
 
 	// A well-formed observation with defaults applied lands in the tracker.

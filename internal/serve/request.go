@@ -8,6 +8,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,8 +24,8 @@ import (
 	"wpred/internal/telemetry"
 )
 
-// Request-size guards. The HTTP handlers additionally cap the raw body
-// with http.MaxBytesReader; these bound the decoded shape.
+// Request-size guards. readBody additionally caps the raw body at
+// Config.MaxBodyBytes; these bound the decoded shape.
 const (
 	// MaxTargetsPerItem bounds the target experiments in one prediction.
 	MaxTargetsPerItem = 64
@@ -51,20 +52,64 @@ type skuJSON struct {
 
 // predictRequest is the wire form of one prediction: an optional model
 // key (selection × metric × model family), the target SKU, and the target
-// workload's telemetry in the wlgen/library experiment format. Targets
-// decode straight into the telemetry wire struct, in the same pass as the
-// rest of the body.
+// workload's telemetry in the wlgen/library experiment format. encoding/json
+// decodes targets into Target; the telemetry scanner converts them as it
+// reads and leaves them in scanned instead.
 type predictRequest struct {
 	Selection string                     `json:"selection,omitempty"`
 	Metric    string                     `json:"metric,omitempty"`
 	Model     string                     `json:"model,omitempty"`
 	ToSKU     skuJSON                    `json:"to_sku"`
 	Target    []telemetry.ExperimentJSON `json:"target"`
+
+	scanned []*telemetry.Experiment
 }
 
 // batchRequest is the wire form of /v1/predict/batch.
 type batchRequest struct {
 	Requests []predictRequest `json:"requests"`
+}
+
+// The JSON names of predictRequest's, skuJSON's and batchRequest's fields,
+// in the order scanPredict's and scanBatch's switches use.
+var (
+	predictFields = []string{"selection", "metric", "model", "to_sku", "target"}
+	skuFields     = []string{"cpus", "memory_gb"}
+	batchFields   = []string{"requests"}
+)
+
+// scanPredict reads a predictRequest with the telemetry scanner.
+func scanPredict(s *telemetry.Scanner, raw *predictRequest) {
+	s.Object(predictFields, func(i int) {
+		switch i {
+		case 0:
+			raw.Selection = s.Str()
+		case 1:
+			raw.Metric = s.Str()
+		case 2:
+			raw.Model = s.Str()
+		case 3:
+			s.Object(skuFields, func(i int) {
+				if i == 0 {
+					raw.ToSKU.CPUs = s.Int()
+				} else {
+					raw.ToSKU.MemoryGB = s.Int()
+				}
+			})
+		case 4:
+			s.Array(func() { raw.scanned = append(raw.scanned, s.Experiment()) })
+		}
+	})
+}
+
+// scanBatch reads a batchRequest with the telemetry scanner.
+func scanBatch(s *telemetry.Scanner, raw *batchRequest) {
+	s.Object(batchFields, func(int) {
+		s.Array(func() {
+			raw.Requests = append(raw.Requests, predictRequest{})
+			scanPredict(s, &raw.Requests[len(raw.Requests)-1])
+		})
+	})
 }
 
 // PredictRequest is a decoded, validated prediction request.
@@ -110,38 +155,87 @@ func knownNames[T any](all []T, name func(T) string) string {
 	return fmt.Sprintf("%q", names)
 }
 
-// errTooLarge marks a request the handler should reject with 413.
-var errTooLarge = errors.New("serve: request body too large")
-
 // decodePredictRequest decodes and validates one prediction request. Every
 // failure is a client error: malformed JSON, unknown fields (target
 // documents included), unknown algorithm or feature names, out-of-range
 // SKUs, and empty or oversized target lists are all rejected with
 // descriptive messages.
-func decodePredictRequest(r io.Reader) (*PredictRequest, error) {
-	var raw predictRequest
-	if err := decodeStrict(r, &raw, "request"); err != nil {
-		return nil, err
-	}
-	return validatePredictRequest(&raw)
+func decodePredictRequest(body []byte) (*PredictRequest, error) {
+	return decodeBody(body, "request", scanPredict, validatePredictRequest)
 }
 
-// decodeStrict decodes one JSON object from r into v in a single pass.
-// Unknown fields at any depth and trailing data after the object (what
-// names it in the error) are rejected. The body-size sentinel
-// (http.MaxBytesReader surfaces *http.MaxBytesError through json) stays
-// distinct, so the handler can answer 413 instead of 400.
-func decodeStrict(r io.Reader, v any, what string) error {
-	dec := json.NewDecoder(r)
+// decodeBody decodes a request body with the telemetry scanner, then
+// validates it. When the scanner declines, decodeStrict decodes the same
+// bytes and the same validation decides, so every decode error comes from
+// encoding/json; a request the scanner reads validates exactly as
+// decodeStrict's reading of it would (FuzzDecodePredictRequest).
+func decodeBody[W, R any](body []byte, what string, scan func(*telemetry.Scanner, *W), validate func(*W) (R, error)) (R, error) {
+	var fast W
+	s := telemetry.NewScanner(body)
+	if scan(s, &fast); s.End() {
+		return validate(&fast)
+	}
+	var raw W
+	if err := decodeStrict(body, &raw, what); err != nil {
+		var zero R
+		return zero, err
+	}
+	return validate(&raw)
+}
+
+// maxBodyPrealloc caps the buffer readBody allocates before any of the
+// body has arrived. It holds the bodies clients send (wpredbench-shaped
+// singles are 59 to 301 KB, batches of eight 0.5 to 1.5 MB) in one
+// allocation, and it is all a client that declares a larger
+// Content-Length and then stalls can make the server hold.
+const maxBodyPrealloc = 2 << 20
+
+// readBody reads a request body whole, through http.MaxBytesReader. When
+// the client sent Content-Length, the buffer is sized from it up to
+// maxBodyPrealloc; past that, and for a body of unknown length, it grows
+// only as bytes arrive, to at most twice what was read. When the read
+// fails it answers the request itself (413 for a body over
+// Config.MaxBodyBytes, 400 otherwise) and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	limit := s.cfg.MaxBodyBytes
+	size, want := int64(512), limit+1 // want: the final size, +1 for the read that sees EOF
+	if r.ContentLength >= 0 {
+		want = min(r.ContentLength, limit) + 1
+		size = min(want, maxBodyPrealloc)
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		var tooLarge *http.MaxBytesError
+		switch {
+		case err == io.EOF:
+			return buf, true
+		case errors.As(err, &tooLarge):
+			httpError(w, http.StatusRequestEntityTooLarge, "serve: request body too large")
+			return nil, false
+		case err != nil:
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("serve: read request: %v", err))
+			return nil, false
+		}
+		if len(buf) == cap(buf) {
+			// The body never passes limit bytes, so want > len(buf) here.
+			buf = append(make([]byte, 0, min(2*int64(len(buf)), want)), buf...)
+		}
+	}
+}
+
+// decodeStrict decodes one JSON value from body into v with encoding/json.
+// Unknown fields at any depth and anything but whitespace after the value
+// (what names it in the error) are rejected.
+func decodeStrict(body []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return errTooLarge
-		}
 		return fmt.Errorf("serve: decode request: %w", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return fmt.Errorf("serve: trailing data after %s object", what)
 	}
 	return nil
@@ -166,6 +260,9 @@ func validateKey(selection, metric, model string) (Key, error) {
 	return k, nil
 }
 
+// validatePredictRequest checks a decoded request in a fixed order (key,
+// SKU, target count, then each target's conversion and finiteness), on
+// either decoder's result, so both report the same first fault.
 func validatePredictRequest(raw *predictRequest) (*PredictRequest, error) {
 	key, err := validateKey(raw.Selection, raw.Metric, raw.Model)
 	if err != nil {
@@ -185,15 +282,16 @@ func validatePredictRequest(raw *predictRequest) (*PredictRequest, error) {
 		req.ToSKU.MemoryGB = 8 * req.ToSKU.CPUs
 	}
 
-	if len(raw.Target) == 0 {
+	n := len(raw.Target) + len(raw.scanned) // one of them is empty
+	if n == 0 {
 		return nil, errors.New("serve: request has no target experiments")
 	}
-	if len(raw.Target) > MaxTargetsPerItem {
-		return nil, fmt.Errorf("serve: %d target experiments exceed the per-request cap of %d", len(raw.Target), MaxTargetsPerItem)
+	if n > MaxTargetsPerItem {
+		return nil, fmt.Errorf("serve: %d target experiments exceed the per-request cap of %d", n, MaxTargetsPerItem)
 	}
-	req.Target = make([]*telemetry.Experiment, len(raw.Target))
-	for i := range raw.Target {
-		e, err := raw.Target[i].Experiment()
+	req.Target = make([]*telemetry.Experiment, n)
+	for i := range req.Target {
+		e, err := raw.target(i)
 		if err != nil {
 			return nil, fmt.Errorf("serve: target[%d]: %w", i, err)
 		}
@@ -205,13 +303,22 @@ func validatePredictRequest(raw *predictRequest) (*PredictRequest, error) {
 	return req, nil
 }
 
+// target returns the i-th target experiment, converting encoding/json's
+// wire form; the scanner's targets are converted already.
+func (raw *predictRequest) target(i int) (*telemetry.Experiment, error) {
+	if raw.scanned != nil {
+		return raw.scanned[i], nil
+	}
+	return raw.Target[i].Experiment()
+}
+
 // decodeBatchRequest decodes /v1/predict/batch: a "requests" array whose
 // items each validate exactly like a single prediction request.
-func decodeBatchRequest(r io.Reader) ([]*PredictRequest, error) {
-	var raw batchRequest
-	if err := decodeStrict(r, &raw, "batch"); err != nil {
-		return nil, err
-	}
+func decodeBatchRequest(body []byte) ([]*PredictRequest, error) {
+	return decodeBody(body, "batch", scanBatch, validateBatchRequest)
+}
+
+func validateBatchRequest(raw *batchRequest) ([]*PredictRequest, error) {
 	if len(raw.Requests) == 0 {
 		return nil, errors.New("serve: batch has no requests")
 	}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,8 +23,10 @@ import (
 // list, finite scalars), and every accepted request then runs through
 // predictOne on one small server trained once. Its key is overridden with
 // that server's warm key, so no input starts a fit; a recovered panic
-// (*parallel.PanicError) fails the target. Seeds live in testdata/fuzz
-// alongside the telemetry decoder's corpus.
+// (*parallel.PanicError) fails the target. Every input also runs through
+// the scanner and encoding/json directly (checkScannedRequest); the
+// fallback seeds wrap documents the scanner declines. Seeds live in
+// testdata/fuzz alongside the telemetry decoder's corpus.
 func FuzzDecodePredictRequest(f *testing.F) {
 	valid := string(fuzzValidRequest(f))
 	f.Add(valid)
@@ -55,25 +59,38 @@ func FuzzDecodePredictRequest(f *testing.F) {
 	predictable := string(fuzzPredictableRequest(f))
 	f.Add(predictable)
 	f.Add(`{"requests":[` + predictable + `,` + predictable + `]}`)
+	f.Add(valid + "]]x")                                                // trailing close brackets
+	f.Add(valid + "}")                                                  // trailing close brace
+	f.Add(`{"Selection":"Variance","TO_SKU":{"CPUS":4},"target":[{}]}`) // case-folded keys
+	f.Add(`{"to_sku":{"cpus":4},"target":[{"workload":"A","cpus":2}],"target":[{"workload":"B"}]}`)
+	f.Add(`{"requests":[{"to_sku":{"cpus":4},"target":[{}]}],"requests":[{"to_sku":{"cpus":8}}]}`)
+	f.Add(`{"selection":null,"to_sku":{"cpus":4,"memory_gb":null},"target":[{}]}`)
+	f.Add(`{"to_sku":{"cpus":4e0},"target":[{}]}`)
+	f.Add(`{"to_sku":{"cpus":-0},"target":[{}]}`)
+	f.Add(`{"to_sku":{"cpus":4},"target":[{"throughput":.5}]}`) // strconv parses it, JSON forbids it
+	for _, ft := range fallbackTargets {
+		f.Add(`{"to_sku":{"cpus":4},"target":[` + ft.doc + `]}`)
+	}
 
 	s := newTestServer(f, Config{})
 	if err := s.Warmup(cheapKey()); err != nil {
 		f.Fatal(err)
 	}
-	if req, err := decodePredictRequest(strings.NewReader(predictable)); err != nil {
+	if req, err := decodePredictRequest([]byte(predictable)); err != nil {
 		f.Fatal(err)
 	} else if _, code, err := s.predictOne(req); code != http.StatusOK {
 		f.Fatalf("the predictable seed answered %d: %v", code, err)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
+		checkScannedRequest(t, []byte(data))
 		var accepted []*PredictRequest
-		req, err := decodePredictRequest(strings.NewReader(data))
+		req, err := decodePredictRequest([]byte(data))
 		if err == nil {
 			accepted = append(accepted, req)
 		} else if req != nil {
 			t.Fatal("decoder returned both a request and an error")
 		}
-		reqs, err := decodeBatchRequest(strings.NewReader(data))
+		reqs, err := decodeBatchRequest([]byte(data))
 		if err == nil {
 			accepted = append(accepted, reqs...)
 		} else if reqs != nil {
@@ -88,6 +105,86 @@ func FuzzDecodePredictRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fallbackTargets are target documents the scanner declines, so
+// encoding/json decides: escapes, non-ASCII, case-folded, duplicate and
+// unknown keys, nulls, a float in an int field, overflow, negative zero
+// next to an unknown field, and a wrong series count. lib is the fault
+// ReadExperiment reports and wire the fault both request decoders report,
+// "" where they accept the document; they differ only on the unknown
+// field, which the library reader ignores.
+var fallbackTargets = []struct{ doc, lib, wire string }{
+	{doc: `{"workload":"W\u00e9","cpus":2}`},
+	{doc: `{"workload":"Wé","cpus":2}`},
+	{doc: `{"Workload":"W","CPUS":2}`},
+	{doc: `{"workload":"W","txn_stats":[{"Name":"a","Weight":1}],"txn_stats":[{"Name":"b"}]}`},
+	{doc: `{"workload":"W","resources":null,"plans":null}`},
+	{`{"workload":"W","cpus":1e1}`, "cannot unmarshal number 1e1", "cannot unmarshal number 1e1"},
+	{`{"workload":"W","throughput":1e999}`, "cannot unmarshal number 1e999", "cannot unmarshal number 1e999"},
+	{`{"workload":"W","throughput":-0,"bogus":1}`, "", `unknown field "bogus"`},
+	{`{"resources":{"CPU_UTILIZATION":[1,2],"CPU_EFFECTIVE":[1]}}`, "2 resource series, want 7", "2 resource series, want 7"},
+}
+
+// checkScannedRequest fails t unless everything the scanner accepts in
+// data, as a single or a batch body, decodeStrict also accepts, with the
+// same envelope, reflect.DeepEqual targets and the same validation result.
+func checkScannedRequest(t *testing.T, data []byte) {
+	t.Helper()
+	var fast predictRequest
+	s := telemetry.NewScanner(data)
+	if scanPredict(s, &fast); s.End() {
+		var slow predictRequest
+		if err := decodeStrict(data, &slow, "request"); err != nil {
+			t.Fatalf("the scanner accepted a request decodeStrict rejects: %v", err)
+		}
+		sameRequest(t, &fast, &slow)
+	}
+	var fastBatch batchRequest
+	s = telemetry.NewScanner(data)
+	if scanBatch(s, &fastBatch); s.End() {
+		var slow batchRequest
+		if err := decodeStrict(data, &slow, "batch"); err != nil {
+			t.Fatalf("the scanner accepted a batch decodeStrict rejects: %v", err)
+		}
+		if len(fastBatch.Requests) != len(slow.Requests) {
+			t.Fatalf("the scanner read %d batch items, decodeStrict %d", len(fastBatch.Requests), len(slow.Requests))
+		}
+		for i := range slow.Requests {
+			sameRequest(t, &fastBatch.Requests[i], &slow.Requests[i])
+		}
+		fr, ferr := validateBatchRequest(&fastBatch)
+		sr, serr := validateBatchRequest(&slow)
+		if fmt.Sprint(ferr) != fmt.Sprint(serr) || !reflect.DeepEqual(fr, sr) {
+			t.Fatalf("batch validation differs: scanner %v, decodeStrict %v", ferr, serr)
+		}
+	}
+}
+
+// sameRequest fails t unless the scanner's request fast and decodeStrict's
+// slow hold the same envelope and targets and validate alike.
+func sameRequest(t *testing.T, fast, slow *predictRequest) {
+	t.Helper()
+	if fast.Selection != slow.Selection || fast.Metric != slow.Metric || fast.Model != slow.Model || fast.ToSKU != slow.ToSKU {
+		t.Fatalf("envelopes differ: scanner %+v, decodeStrict %+v", fast, slow)
+	}
+	if fast.Target != nil || len(fast.scanned) != len(slow.Target) {
+		t.Fatalf("the scanner read %d targets, decodeStrict %d", len(fast.scanned), len(slow.Target))
+	}
+	for i := range slow.Target {
+		want, err := slow.target(i)
+		if err != nil {
+			t.Fatalf("the scanner accepted target %d, which Experiment rejects: %v", i, err)
+		}
+		if !reflect.DeepEqual(fast.scanned[i], want) {
+			t.Fatalf("target %d differs:\n got %+v\nwant %+v", i, fast.scanned[i], want)
+		}
+	}
+	fr, ferr := validatePredictRequest(fast)
+	sr, serr := validatePredictRequest(slow)
+	if fmt.Sprint(ferr) != fmt.Sprint(serr) || !reflect.DeepEqual(fr, sr) {
+		t.Fatalf("validation differs: scanner %v, decodeStrict %v", ferr, serr)
+	}
 }
 
 // checkAccepted fails t unless req satisfies every invariant the decoder

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -19,8 +20,9 @@ import (
 // equivalenceDocs returns target documents as WriteExperiment renders
 // them: a full simulated run (resources, plans, throughput series and
 // transaction stats), the same run without transaction stats, a plan-only
-// run, and a run whose series are all empty. Two hand-written documents
-// add what WriteExperiment never emits: explicitly empty series and lists.
+// run, and a run whose series are all empty. Hand-written documents add
+// what WriteExperiment never emits: explicitly empty series and lists,
+// nulls, and negative zero.
 func equivalenceDocs(t *testing.T) map[string][]byte {
 	t.Helper()
 	ycsb, err := bench.ByName("YCSB")
@@ -59,25 +61,33 @@ func equivalenceDocs(t *testing.T) map[string][]byte {
 	docs["explicit-empty"] = []byte(`{"workload":"W","cpus":2,"resources":{` + strings.Join(series, ",") +
 		`},"throughput_series":[],"plans":[],"txn_stats":[]}`)
 	docs["nulls"] = []byte(`{"workload":"W","resources":null,"throughput_series":null,"plans":[{"query":"q","stats":null}],"txn_stats":null}`)
+	docs["negative-zero"] = []byte(`{"workload":"W","cpus":-0,"throughput":-0,"throughput_series":[-0,1e-7,1e+21]}`)
 	return docs
 }
 
-// TestDecodeMatchesReadExperiment pins the one-pass request decode to the
-// library reader: every target the request decoder returns, single or
-// batched, is reflect.DeepEqual to what telemetry.ReadExperiment returns
-// for the same document.
+// TestDecodeMatchesReadExperiment pins the request decode to the library
+// reader: every equivalence document, and every fallback target both
+// accept, decodes on all three paths, and every target the request
+// decoder returns, single or batched, is reflect.DeepEqual to what
+// telemetry.ReadExperiment returns for the same document.
 func TestDecodeMatchesReadExperiment(t *testing.T) {
-	for name, doc := range equivalenceDocs(t) {
+	docs := equivalenceDocs(t)
+	for i, ft := range fallbackTargets {
+		if ft.wire == "" {
+			docs[fmt.Sprintf("fallback-%d", i)] = []byte(ft.doc)
+		}
+	}
+	for name, doc := range docs {
 		want, err := telemetry.ReadExperiment(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatalf("%s: ReadExperiment: %v", name, err)
 		}
 		body := mustMarshal(t, predictWire{ToSKU: skuJSON{CPUs: 4}, Target: []json.RawMessage{doc, doc}})
-		req, err := decodePredictRequest(bytes.NewReader(body))
+		req, err := decodePredictRequest(body)
 		if err != nil {
 			t.Fatalf("%s: decodePredictRequest: %v", name, err)
 		}
-		batch, err := decodeBatchRequest(bytes.NewReader(mustMarshal(t, batchWire{Requests: []json.RawMessage{body}})))
+		batch, err := decodeBatchRequest(mustMarshal(t, batchWire{Requests: []json.RawMessage{body}}))
 		if err != nil {
 			t.Fatalf("%s: decodeBatchRequest: %v", name, err)
 		}
@@ -85,6 +95,87 @@ func TestDecodeMatchesReadExperiment(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: decoded target %d differs from ReadExperiment's:\n got %+v\nwant %+v", name, i, got, want)
 			}
+		}
+	}
+}
+
+// TestFallbackTargetsRejected pins the fallback targets that fail:
+// ReadExperiment reports each one's library fault (or accepts it, for an
+// unknown field) and both request decoders report its wire fault.
+func TestFallbackTargetsRejected(t *testing.T) {
+	hasFault := func(err error, fault string) bool {
+		if fault == "" {
+			return err == nil
+		}
+		return err != nil && strings.Contains(err.Error(), fault)
+	}
+	for _, ft := range fallbackTargets {
+		if ft.wire == "" {
+			continue // TestDecodeMatchesReadExperiment
+		}
+		if _, err := telemetry.ReadExperiment(strings.NewReader(ft.doc)); !hasFault(err, ft.lib) {
+			t.Errorf("%s: ReadExperiment: %v, want %q", ft.doc, err, ft.lib)
+		}
+		body := `{"to_sku":{"cpus":4},"target":[` + ft.doc + `]}`
+		if _, err := decodePredictRequest([]byte(body)); !hasFault(err, ft.wire) {
+			t.Errorf("%s: decodePredictRequest: %v, want %q", ft.doc, err, ft.wire)
+		}
+		if _, err := decodeBatchRequest([]byte(`{"requests":[` + body + `]}`)); !hasFault(err, ft.wire) {
+			t.Errorf("%s: decodeBatchRequest: %v, want %q", ft.doc, err, ft.wire)
+		}
+	}
+}
+
+// TestReadBodyAllocatesAsBytesArrive pins readBody's buffer: a body
+// larger than maxBodyPrealloc reads whole with or without Content-Length,
+// its buffer never passes the declared length or twice what arrived, and
+// a client that declares more than it sends makes the server allocate no
+// more than maxBodyPrealloc.
+func TestReadBodyAllocatesAsBytesArrive(t *testing.T) {
+	s := &Server{cfg: Config{MaxBodyBytes: 8 << 20}}
+	read := func(body []byte, length int64) []byte {
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+		r.ContentLength = length
+		got, ok := s.readBody(httptest.NewRecorder(), r)
+		if !ok {
+			t.Fatalf("declared %d bytes, sent %d: readBody failed", length, len(body))
+		}
+		return got
+	}
+	big := bytes.Repeat([]byte{' '}, 3*maxBodyPrealloc/2)
+	if got := read(big, int64(len(big))); !bytes.Equal(got, big) || cap(got) > len(big)+1 {
+		t.Errorf("declared length: read %d of %d bytes into a %d-byte buffer", len(got), len(big), cap(got))
+	}
+	if got := read(big, -1); !bytes.Equal(got, big) || cap(got) > 2*len(big) {
+		t.Errorf("unknown length: read %d of %d bytes into a %d-byte buffer", len(got), len(big), cap(got))
+	}
+	if got := read(big[:100], s.cfg.MaxBodyBytes); len(got) != 100 || cap(got) > maxBodyPrealloc {
+		t.Errorf("declared %d, sent 100: read %d bytes into a %d-byte buffer", s.cfg.MaxBodyBytes, len(got), cap(got))
+	}
+}
+
+// TestScannerDecodesClientBodies pins that the scanner, not the
+// encoding/json fallback, decodes and validates the bodies clients send:
+// wpredbench-shaped /v1/predict and /v1/predict/batch requests for the
+// five standard workloads on 2 and 4 CPUs, predicted to 8 and 16.
+func TestScannerDecodesClientBodies(t *testing.T) {
+	singles, batches := wpredbenchBodies(t)
+	for i, body := range singles {
+		var raw predictRequest
+		s := telemetry.NewScanner(body)
+		if scanPredict(s, &raw); !s.End() {
+			t.Errorf("single body %d: the scanner declined it", i)
+		} else if _, err := validatePredictRequest(&raw); err != nil {
+			t.Errorf("single body %d: %v", i, err)
+		}
+	}
+	for i, body := range batches {
+		var raw batchRequest
+		s := telemetry.NewScanner(body)
+		if scanBatch(s, &raw); !s.End() {
+			t.Errorf("batch body %d: the scanner declined it", i)
+		} else if _, err := validateBatchRequest(&raw); err != nil {
+			t.Errorf("batch body %d: %v", i, err)
 		}
 	}
 }

@@ -357,20 +357,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// decodeFailure answers a decoding error: 413 for oversized bodies, 400
-// for everything else.
-func decodeFailure(w http.ResponseWriter, err error) {
-	if errors.Is(err, errTooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, errTooLarge.Error())
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	httpError(w, http.StatusBadRequest, err.Error())
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, err := decodePredictRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	req, err := decodePredictRequest(body)
 	if err != nil {
-		decodeFailure(w, err)
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !s.adm.tryAcquire(1) {
@@ -407,9 +401,13 @@ type batchItemResult struct {
 // would livelock a compliant client into retrying forever. Those batches
 // get a non-retryable 413 instead: the client must split the batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqs, err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	reqs, err := decodeBatchRequest(body)
 	if err != nil {
-		decodeFailure(w, err)
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(reqs) > s.adm.capacity() {

@@ -576,6 +576,8 @@ func TestRequestValidationStatuses(t *testing.T) {
 		{"no targets", []byte(`{"to_sku":{"cpus":4}}`), http.StatusBadRequest},
 		{"zero cpus", bytes.Replace(small, []byte(`"to_sku":{"cpus":4,"memory_gb":0}`), []byte(`"to_sku":{"cpus":0,"memory_gb":0}`), 1), http.StatusBadRequest},
 		{"oversized", append(append([]byte(nil), small[:len(small)-1]...), bytes.Repeat([]byte(" "), 300<<10)...), http.StatusRequestEntityTooLarge},
+		{"trailing close brackets", append(append([]byte(nil), small...), "]]x"...), http.StatusBadRequest},
+		{"over the cap after the object", append(append([]byte(nil), small...), bytes.Repeat([]byte(" "), 300<<10)...), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 )
 
@@ -134,15 +136,57 @@ func unknownFeature(k Kind, names []string) error {
 	return fmt.Errorf("telemetry: unknown %s feature %q", k, slices.Min(names))
 }
 
-// ReadExperiment parses one experiment from JSON; see
-// (*ExperimentJSON).Experiment for what it validates.
+// ReadExperiment parses one experiment from JSON and ignores what follows
+// it; see (*ExperimentJSON).Experiment for what it validates. It reads r
+// to EOF, then the Scanner decodes the first document; when the Scanner
+// declines, encoding/json decodes the same bytes and decides.
 func ReadExperiment(r io.Reader) (*Experiment, error) {
+	data, err := readAll(r)
+	if err == nil {
+		if e := NewScanner(data).Experiment(); e != nil {
+			return e, nil
+		}
+	}
 	var je ExperimentJSON
-	if err := json.NewDecoder(r).Decode(&je); err != nil {
+	if err := json.NewDecoder(replay(data, err)).Decode(&je); err != nil {
 		return nil, fmt.Errorf("telemetry: decode experiment: %w", err)
 	}
 	return je.Experiment()
 }
+
+// readAll reads r to EOF into one buffer, sized up front when r can tell
+// its length (an in-memory reader by Len, a file by Stat, as os.ReadFile
+// does), so a multi-megabyte library is not copied through io.ReadAll's
+// growth steps.
+func readAll(r io.Reader) ([]byte, error) {
+	var size int
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case *os.File:
+		if fi, err := v.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() {
+			size = int(fi.Size())
+		}
+	}
+	var buf bytes.Buffer
+	buf.Grow(size + bytes.MinRead) // MinRead: room for the read that sees EOF
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// replay returns a reader that yields data and then err, or io.EOF when
+// err is nil: what readAll saw, so the encoding/json fallback decodes
+// exactly what it would have decoded reading the original reader.
+func replay(data []byte, err error) io.Reader {
+	if err == nil {
+		return bytes.NewReader(data)
+	}
+	return io.MultiReader(bytes.NewReader(data), errReader{err})
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // WriteExperiments serializes a list of experiments as a JSON array
 // stream (one document per experiment).
@@ -156,8 +200,33 @@ func WriteExperiments(w io.Writer, exps []*Experiment) error {
 }
 
 // ReadExperiments parses a stream of experiment documents until EOF,
-// validating each like ReadExperiment.
+// validating each like ReadExperiment. It reads the stream into memory
+// once and decodes it with the Scanner; when the Scanner declines any
+// document, readExperimentsJSON decodes the whole stream again, so errors
+// and their document indices are encoding/json's.
 func ReadExperiments(r io.Reader) ([]*Experiment, error) {
+	data, err := readAll(r)
+	if err == nil {
+		if exps, ok := scanExperiments(data); ok {
+			return exps, nil
+		}
+	}
+	return readExperimentsJSON(replay(data, err))
+}
+
+// scanExperiments decodes a stream of experiment documents with the
+// Scanner; ok is false when it declines.
+func scanExperiments(data []byte) (exps []*Experiment, ok bool) {
+	s := NewScanner(data)
+	for s.more() {
+		exps = append(exps, s.Experiment())
+	}
+	return exps, s.End()
+}
+
+// readExperimentsJSON is ReadExperiments on encoding/json alone: the
+// fallback, and the reference the Scanner is tested against.
+func readExperimentsJSON(r io.Reader) ([]*Experiment, error) {
 	dec := json.NewDecoder(r)
 	var out []*Experiment
 	for {
