@@ -47,9 +47,11 @@ fuzz:
 
 # serve-test is the focused gate for the serving layer: the wpredd e2e
 # lifecycle, registry single-flight/eviction stress, admission-queue
-# backpressure, and the /v1/predict decoder corpus — all under -race.
+# backpressure, the /v1/predict decoder corpus, and the pipeline every
+# request runs (internal/core: the similarity oracle, concurrent first
+# predicts, the scaling memo) — all under -race.
 serve-test:
-	$(GO) test -race -count 1 -timeout 10m ./internal/serve/ ./cmd/wpredd/
+	$(GO) test -race -count 1 -timeout 10m ./internal/serve/ ./cmd/wpredd/ ./internal/core/
 
 # chaos-test is the fleet-robustness gate: the router's fault-injection
 # suite plus the kill-and-warm-restart e2e (3 backends sharing a snapshot

@@ -26,7 +26,9 @@ var (
 	// experiments.
 	ErrTooFewReferences = errors.New("core: too few valid reference experiments")
 	// ErrNoUsableTargets is returned by PredictWithReport when
-	// sanitization rejects every target experiment.
+	// sanitization rejects every target experiment, or when the usable
+	// targets' mean observed throughput is not positive: a prediction
+	// scales that throughput, so there is nothing to scale.
 	ErrNoUsableTargets = errors.New("core: no usable target experiments")
 	// ErrNoScalingReference is returned by PredictWithReport when no
 	// reference workload — nearest or fallback — can supply a scaling

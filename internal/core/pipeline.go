@@ -19,7 +19,6 @@ import (
 	"wpred/internal/obs"
 	"wpred/internal/parallel"
 	"wpred/internal/scalemodel"
-	"wpred/internal/simeval"
 	"wpred/internal/telemetry"
 )
 
@@ -95,11 +94,11 @@ type Config struct {
 	// Train accepts after sanitization (default 2).
 	MinValidRefs int
 	// IndexThreshold routes reference lookups through a VP-tree index
-	// (simeval.BuildReferenceIndex) once the same-SKU reference set
-	// reaches this many experiments, replacing the O(N²) pairwise matrix
-	// with per-target k-NN lookups. Below the threshold the exhaustive
-	// path runs unchanged, so small suites — including every committed
-	// experiment — stay byte-identical. The indexed path differs
+	// (ann.Index) once the same-SKU reference set reaches this many
+	// experiments, replacing the distance to every reference with
+	// per-target k-NN lookups. Below the threshold every target is scored
+	// against every reference, so small suites — including every
+	// committed experiment — stay byte-identical. The indexed path differs
 	// deliberately: the fingerprint builder is fitted on the references
 	// only (Fit-once/Query-many; a library at this scale cannot be
 	// re-normalized per query), and the ranking is computed over the
@@ -190,12 +189,11 @@ type Pipeline struct {
 	refs     *References
 	selected []telemetry.Feature
 
-	// indexes caches one fitted builder + reference index per
-	// (SKU, plan-only) similarity context, built lazily on the first
-	// Predict that crosses IndexThreshold and reused by every subsequent
-	// lookup (Fit-once/Query-many). Guarded by idxMu.
-	idxMu   sync.Mutex
-	indexes map[string]*refIndex
+	// contexts holds the reference side of similarity, one refContext per
+	// contextKey, each built by the first Predict that needs it and never
+	// changed. Guarded by ctxMu.
+	ctxMu    sync.Mutex
+	contexts map[contextKey]*refContext
 
 	// memo caches the scaling stage per (nearest reference, from SKU, to
 	// SKU): the fitted factor and interval, filled lazily and single-flight
@@ -203,14 +201,6 @@ type Pipeline struct {
 	// memoMu; never persisted.
 	memoMu sync.Mutex
 	memo   map[scaleKey]*memoEntry
-}
-
-// refIndex pairs a reference-fitted fingerprint builder with the VP-tree
-// over the fingerprints it produced; queries must be encoded by the same
-// builder to share the normalization ranges.
-type refIndex struct {
-	builder *fingerprint.Builder
-	ri      *simeval.ReferenceIndex
 }
 
 // TrainPipeline sanitizes refs under cfg's policy and trains a pipeline on
@@ -421,18 +411,21 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 		}
 	}
 
+	observed := 0.0
+	for _, e := range usable {
+		observed += e.Throughput
+	}
+	observed /= float64(len(usable))
+	if !(observed > 0) {
+		return nil, fmt.Errorf("%w: mean observed throughput %v is not positive", ErrNoUsableTargets, observed)
+	}
+
 	msp := sp.Child("similarity")
 	ranked, err := p.similarTo(usable, fromSKU)
 	predictSimilarSeconds.ObserveDuration(msp.End())
 	if err != nil {
 		return nil, err
 	}
-
-	observed := 0.0
-	for _, e := range usable {
-		observed += e.Throughput
-	}
-	observed /= float64(len(usable))
 
 	csp := sp.Child("scalemodel")
 	defer func() { predictScaleSeconds.ObserveDuration(csp.End()) }()
@@ -463,12 +456,39 @@ func (p *Pipeline) predict(target []*telemetry.Experiment, toSKU telemetry.SKU, 
 	return nil, fmt.Errorf("%w (tried %d candidates): %v", ErrNoScalingReference, len(ranked), lastErr)
 }
 
-// similarTo fingerprints the target alongside same-SKU references and
-// returns every reference workload ranked by ascending mean normalized
-// distance. Predict walks the ranking so a reference with unusable scaling
-// data degrades to the next-nearest.
-func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) ([]WorkloadDistance, error) {
-	refs := make([]*telemetry.Experiment, 0, len(p.refs.kept))
+// contextKey names one reference context: the targets' SKU, or
+// unprofiled for every SKU no reference was measured on, and whether any
+// target is plan-only.
+type contextKey struct {
+	sku        telemetry.SKU
+	unprofiled bool
+	planOnly   bool
+}
+
+// refContext is the reference side of similarity for one contextKey: the
+// references targets are scored against and the features compared. At
+// IndexThreshold references and beyond it also holds the builder fitted on
+// the references alone, which must encode targets too, and the VP-tree
+// over their fingerprints. It never changes once built.
+type refContext struct {
+	refs     []*telemetry.Experiment
+	features []telemetry.Feature
+	builder  *fingerprint.Builder
+	index    *ann.Index
+}
+
+// context returns the reference context for targets measured on sku,
+// building it on first use. Every SKU the suite never profiled shares one
+// context over all references, so a pipeline holds at most two contexts
+// per profiled SKU, plus two, whatever SKUs targets name.
+func (p *Pipeline) context(sku telemetry.SKU, planOnly bool) (*refContext, error) {
+	k := contextKey{sku: sku, planOnly: planOnly}
+	p.ctxMu.Lock()
+	defer p.ctxMu.Unlock()
+	if c := p.contexts[k]; c != nil {
+		return c, nil
+	}
+	var refs []*telemetry.Experiment
 	for _, e := range p.refs.kept {
 		if e.SKU == sku {
 			refs = append(refs, e)
@@ -476,23 +496,31 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 	}
 	if len(refs) == 0 {
 		// Fall back to all references when the SKU was never profiled.
+		k = contextKey{unprofiled: true, planOnly: planOnly}
+		if c := p.contexts[k]; c != nil {
+			return c, nil
+		}
 		refs = p.refs.kept
 	}
-	all := append(append([]*telemetry.Experiment(nil), refs...), target...)
+	c, err := p.newContext(refs, planOnly)
+	if err != nil {
+		return nil, err
+	}
+	if p.contexts == nil {
+		p.contexts = map[contextKey]*refContext{}
+	}
+	p.contexts[k] = c
+	return c, nil
+}
 
+// newContext builds the context over refs. Similarity is restricted to
+// plan features when any target or reference is plan-only.
+func (p *Pipeline) newContext(refs []*telemetry.Experiment, planOnly bool) (*refContext, error) {
 	features := p.selected
 	if len(features) == 0 {
 		features = telemetry.AllFeatures()
 	}
-	// Plan-only targets restrict similarity to plan features.
-	planOnly := false
-	for _, e := range all {
-		if e.Resources.Len() == 0 {
-			planOnly = true
-			break
-		}
-	}
-	if planOnly {
+	if planOnly || anyPlanOnly(refs) {
 		kept := features[:0:0]
 		for _, f := range features {
 			if f.Kind() == telemetry.Plan {
@@ -504,44 +532,64 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 		}
 		features = kept
 	}
-
-	// Large libraries go through the VP-tree reference index; small ones
-	// (every committed suite) keep the exhaustive matrix bit-for-bit.
-	if p.cfg.IndexThreshold > 0 && len(refs) >= p.cfg.IndexThreshold {
-		return p.similarToIndexed(refs, target, features, sku, planOnly)
+	c := &refContext{refs: refs, features: features}
+	if p.cfg.IndexThreshold <= 0 || len(refs) < p.cfg.IndexThreshold {
+		return c, nil
 	}
-
-	b := &fingerprint.Builder{Rep: p.cfg.Representation, Features: features}
-	if err := b.Fit(all); err != nil {
+	c.builder = &fingerprint.Builder{Rep: p.cfg.Representation, Features: features}
+	if err := c.builder.Fit(refs); err != nil {
 		return nil, err
 	}
-	items := make([]simeval.Item, 0, len(all))
-	for _, e := range refs {
-		fp, err := b.Build(e)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, simeval.Item{Workload: e.Workload, Run: e.Run, FP: fp})
-	}
-	targetStart := len(items)
-	for _, e := range target {
-		fp, err := b.Build(e)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, simeval.Item{Workload: "\x00target", Run: e.Run, FP: fp})
-	}
-	matrix, err := simeval.ComputeMatrix(items, p.cfg.Metric)
+	fps, err := c.builder.BuildAll(refs)
 	if err != nil {
 		return nil, err
 	}
-	// Mean distance from every target item to each reference workload.
+	items := make([]ann.Item, len(refs))
+	for i, e := range refs {
+		items[i] = ann.Item{Label: e.Workload, FP: fps[i]}
+	}
+	c.index, err = ann.Build(items, p.cfg.Metric, ann.Config{Seed: p.cfg.Seed, Tau: p.cfg.IndexTau})
+	return c, err
+}
+
+// anyPlanOnly reports whether any of exps carries no resource telemetry.
+func anyPlanOnly(exps []*telemetry.Experiment) bool {
+	for _, e := range exps {
+		if e.Resources.Len() == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// similarTo scores the targets against the references of their context
+// and returns every reference workload scored, ranked by ascending mean
+// normalized distance. Predict walks the ranking so a reference with
+// unusable scaling data degrades to the next-nearest.
+func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) ([]WorkloadDistance, error) {
+	c, err := p.context(sku, anyPlanOnly(target))
+	if err != nil {
+		return nil, err
+	}
+	scores, err := c.score(target, p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The decision rule of §6.2.3 (Matrix.NearestWorkload): per target,
+	// the mean distance to each workload it was scored against, summed in
+	// reference order; then each workload's mean over the targets that
+	// scored it.
 	sums := map[string]float64{}
 	counts := map[string]int{}
-	for q := targetStart; q < len(items); q++ {
-		_, d := matrix.NearestWorkload(q)
-		for w, v := range d {
-			sums[w] += v
+	for _, row := range scores {
+		means := map[string]float64{}
+		n := map[string]int{}
+		for _, r := range row {
+			means[r.Label] += r.Distance
+			n[r.Label]++
+		}
+		for w, v := range means {
+			sums[w] += v / float64(n[w])
 			counts[w]++
 		}
 	}
@@ -551,54 +599,51 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 	return rankWorkloads(sums)
 }
 
-// similarToIndexed is the sublinear variant of similarTo (see "Sublinear
-// similarity" in DESIGN.md): one VP-tree per (SKU, plan-only) context,
-// built lazily on first use and reused across Predict calls. It differs
-// from the exhaustive path in two documented ways — the fingerprint
-// builder is fitted on the references alone, and each target votes over
-// its IndexK nearest references rather than the whole library — which is
-// why it only engages beyond IndexThreshold.
-func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, features []telemetry.Feature, sku telemetry.SKU, planOnly bool) ([]WorkloadDistance, error) {
-	key := fmt.Sprintf("%v|%t", sku, planOnly)
-	p.idxMu.Lock()
-	if p.indexes == nil {
-		p.indexes = map[string]*refIndex{}
-	}
-	ix, ok := p.indexes[key]
-	if !ok {
-		var err error
-		ix, err = p.buildRefIndex(refs, features)
-		if err != nil {
-			p.idxMu.Unlock()
+// score returns, per target, its distance to each reference it is scored
+// against, in reference order: every reference below IndexThreshold, the
+// IndexK nearest at and beyond it (see "Sublinear similarity" in
+// DESIGN.md).
+func (c *refContext) score(target []*telemetry.Experiment, cfg Config) ([][]ann.Result, error) {
+	b, exps := c.builder, target
+	if b == nil {
+		// Fitted per call on the references and the targets together, so
+		// both share normalization ranges. The input is a fresh slice: the
+		// context's references are shared by every call.
+		exps = append(append(make([]*telemetry.Experiment, 0, len(c.refs)+len(target)), c.refs...), target...)
+		b = &fingerprint.Builder{Rep: cfg.Representation, Features: c.features}
+		if err := b.Fit(exps); err != nil {
 			return nil, err
 		}
-		p.indexes[key] = ix
 	}
-	p.idxMu.Unlock()
-
-	// The builder is read-only after Fit and the index is immutable, so
-	// concurrent Predict calls only need their own query buffer.
+	fps, err := b.BuildAll(exps)
+	if err != nil {
+		return nil, err
+	}
+	refFPs := fps[:len(exps)-len(target)]
+	scores := make([][]ann.Result, len(target))
 	buf := &ann.QueryBuffer{}
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, e := range target {
-		fp, err := ix.builder.Build(e)
-		if err != nil {
-			return nil, err
+	for t, q := range fps[len(refFPs):] {
+		if c.index != nil {
+			row, _, err := c.index.KNN(q, cfg.IndexK, buf)
+			if err != nil {
+				return nil, err
+			}
+			sort.Slice(row, func(a, b int) bool { return row[a].Index < row[b].Index })
+			scores[t] = row
+			continue
 		}
-		_, d, _, err := ix.ri.NearestWorkloadIndexed(fp, p.cfg.IndexK, "", buf)
-		if err != nil {
-			return nil, err
-		}
-		for w, v := range d {
-			sums[w] += v
-			counts[w]++
+		scores[t] = make([]ann.Result, len(refFPs))
+		for i, r := range refFPs {
+			// Reference first, the order ComputeMatrix evaluated each
+			// pair in.
+			d, err := cfg.Metric.Distance(r.M, q.M)
+			if err != nil {
+				return nil, fmt.Errorf("core: %s(%s,%s): %w", cfg.Metric.Name(), c.refs[i].Workload, target[t].Workload, err)
+			}
+			scores[t][i] = ann.Result{Index: i, Label: c.refs[i].Workload, Distance: d}
 		}
 	}
-	for w := range sums {
-		sums[w] /= float64(counts[w])
-	}
-	return rankWorkloads(sums)
+	return scores, nil
 }
 
 // rankWorkloads orders reference workloads by ascending mean distance,
@@ -619,26 +664,4 @@ func rankWorkloads(means map[string]float64) ([]WorkloadDistance, error) {
 		return ranked[a].Workload < ranked[b].Workload
 	})
 	return ranked, nil
-}
-
-// buildRefIndex fits a fingerprint builder on the references only and
-// indexes the resulting fingerprints. Callers hold idxMu.
-func (p *Pipeline) buildRefIndex(refs []*telemetry.Experiment, features []telemetry.Feature) (*refIndex, error) {
-	b := &fingerprint.Builder{Rep: p.cfg.Representation, Features: features}
-	if err := b.Fit(refs); err != nil {
-		return nil, err
-	}
-	items := make([]simeval.Item, 0, len(refs))
-	for _, e := range refs {
-		fp, err := b.Build(e)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, simeval.Item{Workload: e.Workload, Run: e.Run, FP: fp})
-	}
-	ri, err := simeval.BuildReferenceIndex(items, p.cfg.Metric, ann.Config{Seed: p.cfg.Seed, Tau: p.cfg.IndexTau})
-	if err != nil {
-		return nil, err
-	}
-	return &refIndex{builder: b, ri: ri}, nil
 }

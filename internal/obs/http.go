@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 )
 
 // Handler returns the debug mux: /metrics serves the Default registry in
@@ -42,6 +43,29 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// codeCounters resolves one handler's wpred_http_requests_total series
+// once per status code, so a request increments a cached counter instead
+// of rendering its labels and looking the series up in the registry.
+type codeCounters struct {
+	handler string
+	mu      sync.Mutex
+	byCode  map[int]*Counter
+}
+
+// get returns the handler's counter for code, registering it on first use.
+func (c *codeCounters) get(code int) *Counter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctr := c.byCode[code]
+	if ctr == nil {
+		ctr = GetCounter("wpred_http_requests_total",
+			"Completed HTTP requests, by handler and status code.",
+			Labels{"handler": c.handler, "code": strconv.Itoa(code)})
+		c.byCode[code] = ctr
+	}
+	return ctr
+}
+
 // InstrumentHandler wraps an HTTP handler with the serving-layer request
 // metrics on the Default registry:
 //
@@ -60,6 +84,7 @@ func InstrumentHandler(handler string, h http.Handler) http.Handler {
 	inFlight := GetGauge("wpred_http_requests_in_flight",
 		"HTTP requests currently executing, by handler.",
 		Labels{"handler": handler})
+	requests := &codeCounters{handler: handler, byCode: map[int]*Counter{}}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		inFlight.Add(1)
@@ -68,9 +93,7 @@ func InstrumentHandler(handler string, h http.Handler) http.Handler {
 			d := sp.End()
 			inFlight.Add(-1)
 			duration.ObserveDuration(d)
-			GetCounter("wpred_http_requests_total",
-				"Completed HTTP requests, by handler and status code.",
-				Labels{"handler": handler, "code": strconv.Itoa(rec.status)}).Inc()
+			requests.get(rec.status).Inc()
 		}()
 		h.ServeHTTP(rec, r)
 	})

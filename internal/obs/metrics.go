@@ -344,10 +344,14 @@ func renderLabels(labels Labels) string {
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// The exposition format's escapes: label values escape backslash, double
+// quote and newline; HELP text escapes backslash and newline.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (version 0.0.4), families and series in sorted order so the
@@ -418,7 +422,4 @@ func writeSample(b *strings.Builder, name, labels, extra string, v float64) {
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
-}
+func escapeHelp(h string) string { return helpEscaper.Replace(h) }

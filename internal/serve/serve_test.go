@@ -565,6 +565,13 @@ func TestRequestValidationStatuses(t *testing.T) {
 	defer ts.Close()
 
 	small := predictBody(t, 4)
+	_, targets := suite(t)
+	var idle []*telemetry.Experiment
+	for _, e := range targets {
+		c := e.Clone()
+		c.Throughput = 0
+		idle = append(idle, c)
+	}
 	cases := []struct {
 		name string
 		body []byte
@@ -578,6 +585,7 @@ func TestRequestValidationStatuses(t *testing.T) {
 		{"oversized", append(append([]byte(nil), small[:len(small)-1]...), bytes.Repeat([]byte(" "), 300<<10)...), http.StatusRequestEntityTooLarge},
 		{"trailing close brackets", append(append([]byte(nil), small...), "]]x"...), http.StatusBadRequest},
 		{"over the cap after the object", append(append([]byte(nil), small...), bytes.Repeat([]byte(" "), 300<<10)...), http.StatusRequestEntityTooLarge},
+		{"zero throughput", marshalPredict(t, idle, 4), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -72,16 +72,13 @@ func (rs *refSuite) references() *core.References {
 	return rs.sanitized
 }
 
-// durableSuite returns the current reference suite when durable snapshots
-// are configured and the suite could be fingerprinted, else nil.
+// durableSuite returns the server's reference suite when durable
+// snapshots are configured and the suite could be fingerprinted, else nil.
 func (s *Server) durableSuite() *refSuite {
-	if s.snaps == nil {
+	if s.snaps == nil || s.suite.err != nil {
 		return nil
 	}
-	if rs := s.suite.Load(); rs.err == nil {
-		return rs
-	}
-	return nil
+	return s.suite
 }
 
 // newSnapshots builds the durability state for a server, or nil when no
@@ -141,7 +138,7 @@ func (s *Server) saveSnapshot(k Key, p *core.Pipeline, rs *refSuite) error {
 var errIncompatible = errors.New("serve: snapshot trained under another configuration or reference suite")
 
 // restorePipeline reconstructs a snapshot's pipeline without refitting,
-// onto the references every pipeline of the server's current suite shares.
+// onto the references every pipeline of the server's suite shares.
 // It fails, and the key refits, unless the snapshot was trained under this
 // server's exact configuration — same seed, pipeline knobs, sanitize
 // policy, and reference suite — names algorithms the live catalog knows,
@@ -150,7 +147,7 @@ var errIncompatible = errors.New("serve: snapshot trained under another configur
 // diverge from what this server would train.
 func (s *Server) restorePipeline(snap *snapshot.Snapshot) (Key, *core.Pipeline, error) {
 	k := Key{Selection: snap.Selection, Metric: snap.Metric, Model: snap.Model}
-	rs := s.suite.Load()
+	rs := s.suite
 	if rs.err != nil || snap.Seed != s.cfg.Seed || snap.TopK != s.cfg.TopK ||
 		snap.Subsamples != s.cfg.Subsamples || snap.Sanitize != s.cfg.Sanitize ||
 		snap.RefsHash != rs.hash {
@@ -199,7 +196,7 @@ func (s *Server) RestoreSnapshots() (restored, skipped int, err error) {
 		return 0, 0, nil
 	}
 	defer s.snaps.restorePending.Store(false)
-	if err := s.suite.Load().err; err != nil {
+	if err := s.suite.err; err != nil {
 		return 0, 0, fmt.Errorf("serve: snapshots disabled: %w", err)
 	}
 	snaps, errs := s.snaps.store.LoadAll()
@@ -222,13 +219,10 @@ func (s *Server) RestoreSnapshots() (restored, skipped int, err error) {
 	return restored, skipped, nil
 }
 
-// persistResident snapshots every successfully trained resident model
-// built on the current suite — the SIGTERM drain path, which also repairs
-// any on-fit snapshot write that failed transiently. A model built on a
-// suite SetRefs has since replaced keeps serving until its key is
-// invalidated, but a restart on the current suite would refit it, so it
-// is not written: the pipeline's own references tell the two apart. It
-// returns the first error (all writes are still attempted).
+// persistResident snapshots every successfully trained resident model —
+// the SIGTERM drain path, which also repairs any on-fit snapshot write
+// that failed transiently. It returns the first error (all writes are
+// still attempted).
 func (s *Server) persistResident() error {
 	rs := s.durableSuite()
 	if rs == nil {
@@ -236,9 +230,6 @@ func (s *Server) persistResident() error {
 	}
 	var first error
 	for k, p := range s.registry.Resident() {
-		if p.References() != rs.references() {
-			continue
-		}
 		if err := s.saveSnapshot(k, p, rs); err != nil && first == nil {
 			first = err
 		}

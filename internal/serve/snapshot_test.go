@@ -117,29 +117,43 @@ func TestSnapshotLazyRestoreOnMiss(t *testing.T) {
 	}
 }
 
-// TestSnapshotStaleIsRefitted changes the server's seed between lives:
-// the on-disk snapshot no longer matches the configuration and must be
-// skipped — a stale model is worse than a refit.
+// TestSnapshotStaleIsRefitted restarts a server under another seed or on
+// another reference suite: the on-disk snapshot no longer matches the
+// configuration (its seed, or its RefsHash) and must be skipped — a stale
+// model is worse than a refit.
 func TestSnapshotStaleIsRefitted(t *testing.T) {
-	dir := t.TempDir()
-	s1 := newTestServer(t, Config{SnapshotDir: dir, Seed: 42})
-	if err := s1.Warmup(cheapKey()); err != nil {
-		t.Fatal(err)
-	}
+	refs, _ := suite(t)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"other seed", Config{Seed: 43}},
+		{"other suite", Config{Refs: refs[:len(refs)-1]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := newTestServer(t, Config{SnapshotDir: dir, Seed: 42})
+			if err := s1.Warmup(cheapKey()); err != nil {
+				t.Fatal(err)
+			}
 
-	s2 := newTestServer(t, Config{SnapshotDir: dir, Seed: 43})
-	restored, skipped, err := s2.RestoreSnapshots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 0 || skipped != 1 {
-		t.Fatalf("stale snapshot: restored %d / skipped %d, want 0 / 1", restored, skipped)
-	}
-	if err := s2.Warmup(cheapKey()); err != nil {
-		t.Fatal(err)
-	}
-	if st := s2.RegistryStats(); st.Fits != 1 || st.Restores != 0 {
-		t.Errorf("stale restart fits=%d restores=%d, want 1/0", st.Fits, st.Restores)
+			cfg := tc.cfg
+			cfg.SnapshotDir = dir
+			s2 := newTestServer(t, cfg)
+			restored, skipped, err := s2.RestoreSnapshots()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored != 0 || skipped != 1 {
+				t.Fatalf("stale snapshot: restored %d / skipped %d, want 0 / 1", restored, skipped)
+			}
+			if err := s2.Warmup(cheapKey()); err != nil {
+				t.Fatal(err)
+			}
+			if st := s2.RegistryStats(); st.Fits != 1 || st.Restores != 0 {
+				t.Errorf("stale restart fits=%d restores=%d, want 1/0", st.Fits, st.Restores)
+			}
+		})
 	}
 }
 
@@ -297,10 +311,9 @@ func TestSnapshotDisagreeingDropsRefit(t *testing.T) {
 }
 
 // TestSnapshotRestoresShareOneSanitizedSuite: every pipeline a server
-// builds on one suite — warmup fits, cold fits, drift refits and restores,
+// builds on its suite — warmup fits, cold fits, drift refits and restores,
 // eager or lazy — shares one core.References, sanitized on first use (not
-// at boot) and once per suite: a SetRefs to the same suite keeps it, and
-// fits after a SetRefs to a different suite share a new one.
+// at boot) and only once.
 func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	dir := t.TempDir()
 	other := Key{Selection: "Pearson", Metric: testMetric, Model: testModel}
@@ -312,13 +325,13 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	}
 
 	s := newTestServer(t, Config{SnapshotDir: dir, RegistryCap: 2})
-	if s.suite.Load().sanitized != nil {
+	if s.suite.sanitized != nil {
 		t.Fatal("boot sanitized the suite")
 	}
 	if restored, skipped, err := s.RestoreSnapshots(); err != nil || restored != 2 || skipped != 0 {
 		t.Fatalf("restored %d / skipped %d (err %v), want 2 / 0", restored, skipped, err)
 	}
-	shared := s.suite.Load().sanitized
+	shared := s.suite.sanitized
 	if shared == nil {
 		t.Fatal("restores left the suite unsanitized")
 	}
@@ -368,7 +381,7 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	if st := s3.RegistryStats(); st.Restores != 2 || st.Fits != 0 {
 		t.Fatalf("concurrent lazy restores: %d restores, %d fits, want 2/0", st.Restores, st.Fits)
 	}
-	if a, b := refsOf(s3, cheapKey()), refsOf(s3, other); a == nil || a != b || a != s3.suite.Load().sanitized {
+	if a, b := refsOf(s3, cheapKey()), refsOf(s3, other); a == nil || a != b || a != s3.suite.sanitized {
 		t.Fatal("concurrent lazy restores do not share one sanitized suite")
 	}
 
@@ -386,116 +399,12 @@ func TestSnapshotRestoresShareOneSanitizedSuite(t *testing.T) {
 	}
 	wg.Wait()
 	for _, k := range keys {
-		if r := refsOf(s4, k); r == nil || r != s4.suite.Load().sanitized {
+		if r := refsOf(s4, k); r == nil || r != s4.suite.sanitized {
 			t.Fatalf("concurrent cold fit of %s was not built on the shared references", k)
 		}
 	}
 	if st := s4.RegistryStats(); st.Fits != 4 {
 		t.Fatalf("concurrent cold fits: %d fits, want 4", st.Fits)
-	}
-
-	// A SetRefs that installs an identical copy of the suite keeps it.
-	refs, _ := suite(t)
-	s.SetRefs(append([]*telemetry.Experiment(nil), refs...))
-	if s.suite.Load().sanitized != shared {
-		t.Fatal("an identical SetRefs replaced the sanitized suite")
-	}
-	for _, k := range []Key{other, third, fourth} {
-		if refsOf(s, k) != shared {
-			t.Fatalf("%s after an identical SetRefs was not built on the shared references", k)
-		}
-	}
-
-	// A different suite: the old snapshots are stale, so the keys refit,
-	// and every new fit shares the new suite's references.
-	newRefs := refs[:len(refs)-1]
-	s.SetRefs(newRefs)
-	before := s.RegistryStats()
-	fresh := refsOf(s, cheapKey())
-	if fresh == nil || fresh == shared {
-		t.Fatal("a fit on a new suite was not built on newly sanitized references")
-	}
-	if refsOf(s, other) != fresh {
-		t.Fatal("fits on the new suite do not share its references")
-	}
-	if st := s.RegistryStats(); st.Fits != before.Fits+2 {
-		t.Fatalf("stale snapshots: %d fits, want 2", st.Fits-before.Fits)
-	}
-
-	// Those fits were saved under the new suite's hash: a third stale key
-	// fits and evicts cheapKey, which then restores lazily onto the new
-	// references instead of fitting again.
-	if refsOf(s, third) != fresh {
-		t.Fatal("a third fit on the new suite does not share its references")
-	}
-	if refsOf(s, cheapKey()) != fresh {
-		t.Fatal("a lazy restore on the new suite does not share its references")
-	}
-	if st := s.RegistryStats(); st.Fits != before.Fits+3 || st.Restores != before.Restores+1 {
-		t.Fatalf("after the new suite's fits: %d fits, %d restores, want 3/1",
-			st.Fits-before.Fits, st.Restores-before.Restores)
-	}
-
-	// A sibling booted on the new suite restores the three keys fitted on
-	// it and skips fourth, whose snapshot names the old suite.
-	s5 := newTestServer(t, Config{SnapshotDir: dir, Refs: newRefs})
-	if restored, skipped, err := s5.RestoreSnapshots(); err != nil || restored != 3 || skipped != 1 {
-		t.Fatalf("sibling on the new suite: restored %d / skipped %d (err %v), want 3 / 1", restored, skipped, err)
-	}
-}
-
-// TestSnapshotDrainAfterSetRefs trains a key, swaps in a different suite
-// with SetRefs, and drains. The resident model learned from the old suite,
-// so the drain must not stamp it with the new suite's hash: a restart on
-// the new suite refits the key and answers exactly what a server without
-// snapshots answers on that suite.
-func TestSnapshotDrainAfterSetRefs(t *testing.T) {
-	dir := t.TempDir()
-	refs, _ := suite(t)
-	newRefs := refs[:len(refs)-1]
-	body := predictBody(t, 4)
-
-	plain := newTestServer(t, Config{Refs: newRefs})
-	tsPlain := httptest.NewServer(plain.Handler())
-	code, want := post(t, tsPlain.URL+"/v1/predict", body)
-	tsPlain.Close()
-	if code != 200 {
-		t.Fatalf("reference predict: status %d: %s", code, want)
-	}
-
-	s1 := newTestServer(t, Config{SnapshotDir: dir})
-	if err := s1.Warmup(cheapKey()); err != nil {
-		t.Fatal(err)
-	}
-	s1.SetRefs(newRefs)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if st := s1.snapshotStatus(); st.Written != 1 || st.WriteErrors != 0 {
-		t.Fatalf("written %d / write errors %d, want 1 / 0: the drain wrote the old-suite model", st.Written, st.WriteErrors)
-	}
-
-	s2 := newTestServer(t, Config{SnapshotDir: dir, Refs: newRefs})
-	restored, skipped, err := s2.RestoreSnapshots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 0 || skipped != 1 {
-		t.Fatalf("restart on the new suite restored %d / skipped %d, want 0 / 1", restored, skipped)
-	}
-	ts := httptest.NewServer(s2.Handler())
-	defer ts.Close()
-	code, got := post(t, ts.URL+"/v1/predict", body)
-	if code != 200 {
-		t.Fatalf("predict after restart: status %d: %s", code, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("restart on the new suite answers differently from a fresh fit:\n%s\nvs\n%s", got, want)
-	}
-	if st := s2.RegistryStats(); st.Fits != 1 || st.Restores != 0 {
-		t.Errorf("fits=%d restores=%d, want 1/0 (refit)", st.Fits, st.Restores)
 	}
 }
 

@@ -1,7 +1,9 @@
 package simeval
 
 import (
+	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"wpred/internal/ann"
@@ -10,6 +12,13 @@ import (
 	"wpred/internal/mat"
 	"wpred/internal/telemetry"
 )
+
+// The pipeline's indexed similarity path (core's refContext) ranks
+// workloads from a VP-tree's k nearest references instead of a full
+// matrix row. These tests pin the contract it stands on between the two
+// packages: in exact mode the index's distances are the matrix's
+// distances, bit for bit, so Matrix.NearestWorkload decides the same over
+// either.
 
 // indexItem builds one reference item: a fingerprint clustered around a
 // per-workload center so similarity structure is real.
@@ -47,119 +56,121 @@ func indexLibrary() []Item {
 	return items
 }
 
-// TestNearestWorkloadIndexedMatchesExhaustive pins the decision-rule
-// equivalence: with k covering the whole library and a metric-space
-// distance, the indexed lookup must name the same workload, with the same
-// per-workload mean distances, as Matrix.NearestWorkload — including the
-// own-workload exclusion.
+// exactMetrics are the metric-space distances the index answers exactly.
+var exactMetrics = []distance.Metric{distance.L11{}, distance.L21{}, distance.Frobenius{}, distance.Canberra{}}
+
+func buildIndex(t *testing.T, items []Item, m distance.Metric) *ann.Index {
+	t.Helper()
+	annItems := make([]ann.Item, len(items))
+	for i, it := range items {
+		annItems[i] = ann.Item{Label: it.Workload, FP: it.FP}
+	}
+	ix, err := ann.Build(annItems, m, ann.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// TestNearestWorkloadIndexedMatchesExhaustive: with k covering the
+// library, each item's lookup returns every item once with its matrix
+// distance to the bit, so Matrix.NearestWorkload over the indexed rows
+// names the same workload with the same per-workload means as over the
+// exhaustive matrix — own-workload exclusion included.
 func TestNearestWorkloadIndexedMatchesExhaustive(t *testing.T) {
 	items := indexLibrary()
-	m := distance.L21{}
-	mx, err := ComputeMatrix(items, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri, err := BuildReferenceIndex(items, m, ann.Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range items {
-		wantW, wantSums := mx.NearestWorkload(q)
-		gotW, gotSums, stats, err := ri.NearestWorkloadIndexed(items[q].FP, len(items), items[q].Workload, nil)
+	for _, m := range exactMetrics {
+		mx, err := ComputeMatrix(items, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotW != wantW {
-			t.Fatalf("q=%d: indexed winner %q != exhaustive %q", q, gotW, wantW)
+		ix := buildIndex(t, items, m)
+		indexed := &Matrix{Items: items, D: make([][]float64, len(items))}
+		buf := &ann.QueryBuffer{}
+		for q := range items {
+			res, stats, err := ix.KNN(items[q].FP, len(items), buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Exact+stats.Pruned() != stats.Total {
+				t.Fatalf("%s q=%d: stats do not reconcile: %+v", m.Name(), q, stats)
+			}
+			row := make([]float64, len(items))
+			seen := make([]bool, len(items))
+			for _, r := range res {
+				if seen[r.Index] {
+					t.Fatalf("%s q=%d: item %d returned twice", m.Name(), q, r.Index)
+				}
+				seen[r.Index] = true
+				row[r.Index] = r.Distance
+			}
+			if len(res) != len(items) {
+				t.Fatalf("%s q=%d: %d results, want %d", m.Name(), q, len(res), len(items))
+			}
+			indexed.D[q] = row
 		}
-		if len(gotSums) != len(wantSums) {
-			t.Fatalf("q=%d: sums differ: %v vs %v", q, gotSums, wantSums)
-		}
-		for w, want := range wantSums {
-			got := gotSums[w]
-			// The exhaustive rule sums full-matrix distances; the indexed
-			// rule re-evaluates them through the same metric, so the means
-			// must match exactly.
-			if got != want {
-				t.Fatalf("q=%d workload %s: mean %v != %v", q, w, got, want)
+		for q := range items {
+			for j := range items {
+				if math.Float64bits(indexed.D[q][j]) != math.Float64bits(mx.D[q][j]) {
+					t.Fatalf("%s (%d,%d): indexed %v, exhaustive %v", m.Name(), q, j, indexed.D[q][j], mx.D[q][j])
+				}
+			}
+			wantW, wantMeans := mx.NearestWorkload(q)
+			gotW, gotMeans := indexed.NearestWorkload(q)
+			if gotW != wantW {
+				t.Fatalf("%s q=%d: indexed winner %q, exhaustive %q", m.Name(), q, gotW, wantW)
+			}
+			if len(gotMeans) != len(wantMeans) {
+				t.Fatalf("%s q=%d: means differ: %v vs %v", m.Name(), q, gotMeans, wantMeans)
+			}
+			for w, want := range wantMeans {
+				if got := gotMeans[w]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s q=%d workload %s: mean %v, want %v", m.Name(), q, w, got, want)
+				}
 			}
 		}
-		if stats.Exact+stats.Pruned() != stats.Total {
-			t.Fatalf("q=%d: stats do not reconcile: %+v", q, stats)
-		}
 	}
 }
 
-// TestNearestWorkloadIndexedSmallK checks the bounded-work path: with
-// small k the lookup still returns a workload whose nearest reference is
-// genuinely closest (by construction of the clustered library).
+// TestNearestWorkloadIndexedSmallK: a bounded lookup returns exactly the
+// head of the exhaustive row — the k smallest matrix distances, in
+// (distance, index) order, to the bit — so a small IndexK ranks the
+// workloads of the truly nearest references. A non-positive k is an error.
 func TestNearestWorkloadIndexedSmallK(t *testing.T) {
 	items := indexLibrary()
-	ri, err := BuildReferenceIndex(items, distance.L21{}, ann.Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := &ann.QueryBuffer{}
-	for q := range items {
-		got, sums, _, err := ri.NearestWorkloadIndexed(items[q].FP, 3, items[q].Workload, buf)
+	const k = 3
+	for _, m := range exactMetrics {
+		mx, err := ComputeMatrix(items, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == "" || len(sums) == 0 {
-			t.Fatalf("q=%d: empty result", q)
+		ix := buildIndex(t, items, m)
+		buf := &ann.QueryBuffer{}
+		for q := range items {
+			res, _, err := ix.KNN(items[q].FP, k, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := make([]int, len(items))
+			for j := range order {
+				order[j] = j
+			}
+			sort.SliceStable(order, func(a, b int) bool { return mx.D[q][order[a]] < mx.D[q][order[b]] })
+			if len(res) != k {
+				t.Fatalf("%s q=%d: %d results, want %d", m.Name(), q, len(res), k)
+			}
+			for i, r := range res {
+				want := order[i]
+				if r.Index != want || r.Label != items[want].Workload ||
+					math.Float64bits(r.Distance) != math.Float64bits(mx.D[q][want]) {
+					t.Fatalf("%s q=%d rank %d: got %+v, want item %d at %v", m.Name(), q, i, r, want, mx.D[q][want])
+				}
+			}
 		}
-		if got == items[q].Workload {
-			t.Fatalf("q=%d: excluded workload won", q)
+		for _, bad := range []int{0, -1} {
+			if _, _, err := ix.KNN(items[0].FP, bad, buf); err == nil {
+				t.Fatalf("%s: k=%d accepted", m.Name(), bad)
+			}
 		}
-	}
-	if _, _, _, err := ri.NearestWorkloadIndexed(items[0].FP, 0, "", nil); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
-// TestPairAccountingReconciles is the satellite reconciliation property:
-// across a cold matrix computation, a warm (fully cached) recomputation,
-// and a batch of indexed lookups, the wpred_simeval_pairs_total counters
-// must satisfy exact + cached + pruned == total pairs asked about.
-func TestPairAccountingReconciles(t *testing.T) {
-	items := indexLibrary()
-	m := distance.L21{}
-
-	e0, c0, p0 := simPairsExact.Value(), simPairsCached.Value(), simPairsPruned.Value()
-	asked := uint64(0)
-
-	cache := NewPairCache()
-	cold, err := ComputeMatrixCached(items, m, cache, "recon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	asked += uint64(cold.Stats.Total)
-	if cold.Stats.Exact+cold.Stats.Cached != cold.Stats.Total || cold.Stats.Cached != 0 {
-		t.Fatalf("cold stats inconsistent: %+v", cold.Stats)
-	}
-	warm, err := ComputeMatrixCached(items, m, cache, "recon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	asked += uint64(warm.Stats.Total)
-	if warm.Stats.Cached != warm.Stats.Total {
-		t.Fatalf("warm recomputation missed the cache: %+v", warm.Stats)
-	}
-
-	ri, err := BuildReferenceIndex(items, m, ann.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 5; q++ {
-		_, _, stats, err := ri.NearestWorkloadIndexed(items[q].FP, 4, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asked += uint64(stats.Total)
-	}
-
-	got := (simPairsExact.Value() - e0) + (simPairsCached.Value() - c0) + (simPairsPruned.Value() - p0)
-	if got != asked {
-		t.Fatalf("pair accounting: exact+cached+pruned = %d, want %d", got, asked)
 	}
 }

@@ -54,6 +54,28 @@ type Matrix struct {
 	Stats MatrixStats
 }
 
+// Pair-evaluation accounting across matrix computations, by outcome:
+// "exact" pairs paid a full metric evaluation, "cached" pairs were served
+// by a PairCache. exact + cached always equals the pairs the matrices were
+// asked about (TestPairAccountingReconciles).
+var (
+	simPairsExact = obs.GetCounter("wpred_simeval_pairs_total",
+		"Similarity-stage pair evaluations by outcome.", obs.Labels{"outcome": "exact"})
+	simPairsCached = obs.GetCounter("wpred_simeval_pairs_total",
+		"Similarity-stage pair evaluations by outcome.", obs.Labels{"outcome": "cached"})
+)
+
+// MatrixStats accounts for one matrix computation: every upper-triangle
+// pair either hit the cache or was evaluated exactly.
+type MatrixStats struct {
+	// Total is the number of upper-triangle pairs.
+	Total int
+	// Exact is the number of pairs that paid a metric evaluation.
+	Exact int
+	// Cached is the number of pairs served from the PairCache.
+	Cached int
+}
+
 // Cache metrics aggregated across every PairCache in the process (in
 // practice one per experiment suite); the production-facing view of the
 // per-cache Stats counters.

@@ -194,3 +194,37 @@ func TestComputeMatrixPropagatesErrors(t *testing.T) {
 		t.Fatal("shape mismatch must propagate")
 	}
 }
+
+// TestPairAccountingReconciles: across a cold matrix computation and a
+// warm (fully cached) recomputation, the wpred_simeval_pairs_total
+// counters satisfy exact + cached == total pairs asked about.
+func TestPairAccountingReconciles(t *testing.T) {
+	items := clusteredItems()
+	m := distance.L21{}
+
+	e0, c0 := simPairsExact.Value(), simPairsCached.Value()
+	asked := uint64(0)
+
+	cache := NewPairCache()
+	cold, err := ComputeMatrixCached(items, m, cache, "recon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked += uint64(cold.Stats.Total)
+	if cold.Stats.Exact+cold.Stats.Cached != cold.Stats.Total || cold.Stats.Cached != 0 {
+		t.Fatalf("cold stats inconsistent: %+v", cold.Stats)
+	}
+	warm, err := ComputeMatrixCached(items, m, cache, "recon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked += uint64(warm.Stats.Total)
+	if warm.Stats.Cached != warm.Stats.Total {
+		t.Fatalf("warm recomputation missed the cache: %+v", warm.Stats)
+	}
+
+	got := (simPairsExact.Value() - e0) + (simPairsCached.Value() - c0)
+	if got != asked {
+		t.Fatalf("pair accounting: exact+cached = %d, want %d", got, asked)
+	}
+}
